@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclo import rank
-from .errors import PencilNotCovered
+from .errors import InvariantError, PencilNotCovered
 from .geometry import Arrangement, SharpPairAdapted, normalize, sharp_pairs
 from .homology import angle_basis, h1, relation_matrix
 from .local_system import LocalSystem, resonant_points
@@ -105,7 +105,8 @@ def beta_certificate(arr: Arrangement, system: LocalSystem, l0: int, seed: int =
     alpha_of_line = {}
     for pid in r0:
         lines_at = basis.lines_at(pid)
-        assert lines_at[0] == l0  # the base line has the minimal slope 0
+        if lines_at[0] != l0:
+            raise InvariantError(f"base line {l0} is not slope-minimal at point {pid}")
         a_prime_sorted = list(lines_at[1:])
         for lid in a_prime_sorted:
             alpha_of_line[lid] = _alpha_line_vector(basis, pid, a_prime_sorted, lid, one)
@@ -115,7 +116,8 @@ def beta_certificate(arr: Arrangement, system: LocalSystem, l0: int, seed: int =
     for lid in a_prime:
         off = [p for p in narr.points if lid in p.line_ids and l0 not in p.line_ids]
         qs = sorted(off, key=lambda p: p.y)
-        assert qs and (len(qs) == 1 or qs[0].y < qs[1].y)
+        if not qs or (len(qs) > 1 and qs[0].y == qs[1].y):
+            raise InvariantError(f"line {lid} has no unique lowest point off the base line")
         neighbors[lid] = qs[0].index
     n_points = sorted(set(neighbors.values()))
 

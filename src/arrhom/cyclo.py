@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational as _Rational
 
-from .errors import ModeMismatch, OrderMismatch
+from .errors import InvariantError, ModeMismatch, OrderMismatch
 
 __all__ = [
     "CycloNumber",
@@ -84,7 +84,8 @@ def cyclotomic_polynomial(d: int) -> tuple:
         if d % e == 0:
             den = _poly_mul(den, list(cyclotomic_polynomial(e)))
     quot, rem = _poly_divmod(num, den)
-    assert not rem, "cyclotomic division must be exact"
+    if rem:
+        raise InvariantError(f"x^{d} - 1 is not divisible by the lower cyclotomic factors")
     return tuple(quot)
 
 

@@ -37,6 +37,10 @@ class TrivialOnLine(ArrhomError):
     """The local system has trivial monodromy on some line."""
 
 
+class InvariantError(ArrhomError):
+    """An internal invariant of the computation does not hold: a program fault."""
+
+
 class NotResonant(ArrhomError):
     """A point-row was requested at a non-resonant point."""
 

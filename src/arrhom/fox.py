@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import rank
-from .errors import NormalizationFailed
+from .errors import InvariantError, NormalizationFailed
 from .geometry import Arrangement, mat_mul, transform
 from .local_system import LocalSystem
 
@@ -122,8 +122,8 @@ def decone(arr: Arrangement, system: LocalSystem, line_id: int, seed: int = 0):
             turning = mon[0]
             for v in mon[1:]:
                 turning = turning * v
-            if system.is_exact:
-                assert turning == system.m_inverse(line_id)
+            if system.is_exact and turning != system.m_inverse(line_id):
+                raise InvariantError("monodromy around infinity is not m(removed line)^-1")
             return DeconedArrangement(
                 lines=lines,
                 line_ids=rest_ids,
@@ -163,7 +163,8 @@ def wiring_diagram(dec: DeconedArrangement) -> WiringDiagram:
     for (x, _y), wires in events:
         block = sorted(cur.index(w) for w in wires)
         lo, hi = block[0], block[-1]
-        assert block == list(range(lo, hi + 1)), "crossing wires must be adjacent"
+        if block != list(range(lo, hi + 1)):
+            raise InvariantError(f"crossing wires at x={x} are not adjacent")
         evs.append((x, lo, tuple(cur[lo : hi + 1])))
         cur[lo : hi + 1] = cur[lo : hi + 1][::-1]
     return WiringDiagram(tuple(order), tuple(evs))

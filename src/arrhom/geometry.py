@@ -8,10 +8,13 @@ affine.  Normalization is a seeded search over rational projective maps with
 full verification of the target assumption profile, so failures are loud and
 reproducible rather than silent.
 
-Chambers of a normalized arrangement are enumerated by an exact vertical
-decomposition: intersection abscissas split the plane into slabs, the lines
-are totally ordered inside each slab, and trapezoids are glued across slab
-walls whenever their open wall intervals overlap.
+Chambers of a normalized arrangement come from one walk over the faces of
+the planar figure.  The points sorted along each line give its segments and
+its two rays, and the lines at each point are already slope-sorted, so the
+next boundary edge of a face is read off the ccw order of directions at a
+vertex, or of ray directions at infinity.  The same walk records, at every
+vertex of a chamber, which angle between consecutive lines the chamber
+fills and on which side of the vertical it lies.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
 
-from .errors import DuplicateLine, NormalizationFailed, NotNormalized
+from .errors import DuplicateLine, NormalizationFailed, NotAdjacent, NotNormalized
 
 __all__ = [
     "Arrangement",
@@ -663,167 +665,136 @@ def normalize(arr: Arrangement, profile=Basic(), seed: int = 0):
 class Chamber:
     """A connected component of the real plane minus the lines.
 
-    ``signs`` records the side of every line; ``sample_point`` is the polygon
-    centroid for bounded chambers and an interior slab point otherwise;
-    ``interior_point`` is always a slab point, whose abscissa never coincides
-    with a vertex abscissa.  ``vertex_ids`` are in counterclockwise boundary
-    order for bounded chambers.
+    ``signs`` records the side of every line.  ``vertex_ids`` are in
+    counterclockwise boundary order: a bounded chamber starts at its leftmost
+    vertex, an unbounded one runs from the end of one boundary ray to the
+    start of the other.  ``corners`` is aligned with ``vertex_ids``: at each
+    vertex, whose lines in slope order are l_1 < ... < l_k, the chamber fills
+    one sector between consecutive directions, given as ``(angle, side)``.
+    Angle i < k is the arc between l_i and l_{i+1}, right of the vertical
+    (side 1) or left of it (side -1); the wrap-around angle k crosses the
+    vertical (side 0).
     """
 
     index: int
     signs: tuple
     bounded: bool
-    sample_point: tuple
-    interior_point: tuple
     vertex_ids: tuple
     edge_count: int
+    corners: tuple
+
+    def corner(self, point_id: int) -> tuple:
+        """The (angle, side) pair of the chamber at one of its vertices."""
+        if point_id not in self.vertex_ids:
+            raise NotAdjacent(f"chamber {self.index} has no vertex {point_id}")
+        return self.corners[self.vertex_ids.index(point_id)]
 
 
-class _DSU:
-    def __init__(self):
-        self.parent = {}
+def _sector(slot: int, k: int) -> tuple:
+    """(angle, side) of the sector from ccw slot ``slot`` to the next one.
 
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != x:
-            self.parent[x] = p = self.parent[p]
-            x = p
-            p = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def _interval_overlap(lo1, hi1, lo2, hi2):
-    lo = lo1 if (lo2 is None or (lo1 is not None and lo1 >= lo2)) else lo2
-    hi = hi1 if (hi2 is None or (hi1 is not None and hi1 <= hi2)) else hi2
-    if lo is None or hi is None:
-        return True
-    return lo < hi
-
-
-def _ccw_sorted(vertices, centroid):
-    cx, cy = centroid
-
-    def half(v):
-        dx, dy = v[0] - cx, v[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def cmp(u, v):
-        hu, hv = half(u[1]), half(v[1])
-        if hu != hv:
-            return -1 if hu < hv else 1
-        ux, uy = u[1][0] - cx, u[1][1] - cy
-        vx, vy = v[1][0] - cx, v[1][1] - cy
-        cr = ux * vy - uy * vx
-        return 0 if cr == 0 else (-1 if cr > 0 else 1)
-
-    return [v[0] for v in sorted(vertices, key=cmp_to_key(cmp))]
+    The 2k slots at a vertex of multiplicity k are the rightward directions
+    by increasing slope, then the leftward ones by increasing slope.
+    """
+    if slot % k == k - 1:
+        return (k, 0)
+    if slot < k:
+        return (slot + 1, 1)
+    return (slot - k + 1, -1)
 
 
 def chambers(arr: Arrangement) -> list:
-    """All chambers of the affine real figure of a normalized arrangement."""
+    """All chambers of the affine real figure of a normalized arrangement.
+
+    Each face is walked once, with the face on the left of its half-edges.
+    Half-edge (i, s, d) runs along segment s of line i, between the line's
+    points s-1 and s in x order (the first and last segments are rays),
+    rightward for d = 1 and leftward for d = -1.  At a vertex the next
+    half-edge is the clockwise neighbour of the reversed incoming one in the
+    ccw slot order of :func:`_sector`.  A half-edge running to infinity is
+    followed by the next ray direction in the same cyclic order over all
+    lines, entered from infinity.
+
+    Chambers are numbered as the vertical decomposition orders them: by the
+    leftmost slab they meet, then by the number of lines below them there.
+    """
     if not arr.is_normalized:
         raise NotNormalized("chamber enumeration needs a normalized arrangement")
     n = arr.n
-    lines = arr.lines
-    pts = arr.points
-    xs = sorted({p.x for p in pts})
-    if xs:
-        samples = [xs[0] - 1]
-        samples += [(xs[i] + xs[i + 1]) / 2 for i in range(len(xs) - 1)]
-        samples += [xs[-1] + 1]
-    else:
-        samples = [Fraction(0)]
-    nslabs = len(samples)
+    slopes = [l.slope for l in arr.lines]
+    intercepts = [l.intercept for l in arr.lines]
+    by_slope = sorted(range(n), key=slopes.__getitem__)
+    slope_rank = {i: r for r, i in enumerate(by_slope)}
+    on_line = [[] for _ in range(n)]  # x-sorted, as arr.points is
+    place = {}  # (line, point id) -> position on the line
+    for p in arr.points:
+        for i in p.line_ids:
+            place[i, p.index] = len(on_line[i])
+            on_line[i].append(p)
+    x_rank = {x: r for r, x in enumerate(sorted({p.x for p in arr.points}))}
 
-    def y_at(i, x):
-        return lines[i].slope * x + lines[i].intercept
+    def step(he):
+        """The next half-edge of the face, and (vertex, slot) where it starts."""
+        i, s, d = he
+        t = s if d > 0 else s - 1
+        if not 0 <= t < len(on_line[i]):
+            g = (slope_rank[i] + (0 if d > 0 else n) + 1) % (2 * n)
+            j = by_slope[g % n]
+            return ((j, len(on_line[j]), -1) if g < n else (j, 0, 1)), None
+        p = on_line[i][t]
+        k = p.multiplicity
+        slot = (p.line_ids.index(i) + (k if d > 0 else 0) - 1) % (2 * k)
+        j = p.line_ids[slot % k]
+        pos = place[j, p.index]
+        return ((j, pos + 1, 1) if slot < k else (j, pos, -1)), (p, slot)
 
-    orders = []
-    for sx in samples:
-        order = sorted(range(n), key=lambda i: y_at(i, sx))
-        orders.append(order)
+    def signs_at(he):
+        """Line signs of the face on the left of a half-edge, read on it."""
+        i, s, d = he
+        pts = on_line[i]
+        if 0 < s < len(pts):
+            x = (pts[s - 1].x + pts[s].x) / 2
+        elif pts:
+            x = pts[0].x - 1 if s == 0 else pts[-1].x + 1
+        else:
+            x = Fraction(0)
+        y = slopes[i] * x + intercepts[i]
+        return tuple(d if j == i else _sign(y - slopes[j] * x - intercepts[j]) for j in range(n))
 
-    dsu = _DSU()
-    for s in range(nslabs):
-        for g in range(n + 1):
-            dsu.find((s, g))
-    for w in range(1, nslabs):
-        xw = xs[w - 1]
-        lv = [y_at(i, xw) for i in orders[w - 1]]
-        rv = [y_at(i, xw) for i in orders[w]]
-        for gl in range(n + 1):
-            lo1 = lv[gl - 1] if gl > 0 else None
-            hi1 = lv[gl] if gl < n else None
-            if lo1 is not None and hi1 is not None and lo1 >= hi1:
-                continue
-            for gr in range(n + 1):
-                lo2 = rv[gr - 1] if gr > 0 else None
-                hi2 = rv[gr] if gr < n else None
-                if lo2 is not None and hi2 is not None and lo2 >= hi2:
+    seen = set()
+    faces = []
+    for i in range(n):
+        for s in range(len(on_line[i]) + 1):
+            for d in (1, -1):
+                walk = []  # (half-edge, (vertex, slot) at its end or None)
+                he = (i, s, d)
+                while he not in seen:
+                    seen.add(he)
+                    nxt, end = step(he)
+                    walk.append((he, end))
+                    he = nxt
+                if not walk:
                     continue
-                if _interval_overlap(lo1, hi1, lo2, hi2):
-                    dsu.union((w - 1, gl), (w, gr))
-
-    classes = {}
-    for s in range(nslabs):
-        for g in range(n + 1):
-            classes.setdefault(dsu.find((s, g)), []).append((s, g))
-
-    chamber_list = []
-    sign_lookup = {}
-    for traps in sorted(classes.values(), key=min):
-        idx = len(chamber_list)
-        bounded = all(0 < s < nslabs - 1 and 0 < g < n for s, g in traps)
-        s0, g0 = min(traps)
-        sx = samples[s0]
-        order = orders[s0]
-        if g0 == 0:
-            sy = y_at(order[0], sx) - 1
-        elif g0 == n:
-            sy = y_at(order[-1], sx) + 1
-        else:
-            sy = (y_at(order[g0 - 1], sx) + y_at(order[g0], sx)) / 2
-        interior = (sx, sy)
-        signs = tuple(_sign(lines[i].q(sx, sy)) for i in range(n))
-        verts = [
-            p for p in pts
-            if all(signs[i] * lines[i].q(p.x, p.y) >= 0 for i in range(n))
-        ]
-        if bounded:
-            cx = sum(p.x for p in verts) / len(verts)
-            cy = sum(p.y for p in verts) / len(verts)
-            vertex_ids = tuple(_ccw_sorted([(p.index, (p.x, p.y)) for p in verts], (cx, cy)))
-            sample = (cx, cy)
-        else:
-            vertex_ids = tuple(sorted(p.index for p in verts))
-            sample = interior
-        chamber_list.append([idx, signs, bounded, sample, interior, vertex_ids, 0])
-        sign_lookup[signs] = idx
-
-    # edge incidence pass: each segment or ray touches exactly two chambers
-    if n >= 2:
-        for i in range(n):
-            on_line = sorted(arr.points_on_line(i), key=lambda p: p.x)
-            reps = []
-            if on_line:
-                reps.append((on_line[0].x - 1, None))
-                for a, b in zip(on_line, on_line[1:]):
-                    reps.append(((a.x + b.x) / 2, None))
-                reps.append((on_line[-1].x + 1, None))
-            for rx, _ in reps:
-                ry = y_at(i, rx)
-                base = [_sign(lines[j].q(rx, ry)) for j in range(n)]
-                for side in (1, -1):
-                    base[i] = side
-                    cid = sign_lookup[tuple(base)]
-                    chamber_list[cid][6] += 1
-    else:
-        for c in chamber_list:
-            c[6] = 1
-
-    return [Chamber(*c[:6], c[6]) for c in chamber_list]
+                ends = [end for _he, end in walk]
+                bounded = None not in ends
+                if bounded:  # start with the half-edge into the leftmost vertex
+                    first = min(range(len(ends)), key=lambda a: ends[a][0].x)
+                else:  # start with the half-edge from infinity
+                    first = (ends.index(None) + 1) % len(ends)
+                walk = walk[first:] + walk[:first]
+                ends = [end for _he, end in walk if end is not None]
+                signs = signs_at(walk[0][0])
+                if any(seg == 0 for (_i, seg, _d), _end in walk):
+                    slab = 0  # the face meets the leftmost slab
+                else:
+                    slab = 1 + x_rank[min(p.x for p, _slot in ends)]
+                faces.append((
+                    (slab, signs.count(1)),
+                    signs,
+                    bounded,
+                    tuple(p.index for p, _slot in ends),
+                    len(walk),
+                    tuple(_sector(slot, p.multiplicity) for p, slot in ends),
+                ))
+    faces.sort(key=lambda f: f[0])
+    return [Chamber(idx, *f[1:]) for idx, f in enumerate(faces)]

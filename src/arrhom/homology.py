@@ -19,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cyclo import rank, rank_float, to_complex_matrix
-from .errors import (
-    NotAdjacent,
-    NotNormalized,
-    NotResonant,
-    UnboundedChamber,
-)
+from .errors import InvariantError, NotNormalized, NotResonant, UnboundedChamber
 from .geometry import (
     Arrangement,
     Basic,
@@ -135,74 +130,32 @@ def point_rows(arr: Arrangement, system: LocalSystem, basis: AngleBasis, point_i
     for i in range(1, k + 1):
         acc = acc * system.m(lines[i - 1])
         minus[basis.column(point_id, i)] = acc
-    if system.is_exact:
-        assert acc == one  # resonance: the full product is 1
+    if system.is_exact and acc != one:
+        raise InvariantError(f"monodromy product at resonant point {point_id} is not 1")
     return (
         RelationRow("point+", point_id, plus),
         RelationRow("point-", point_id, minus),
     )
 
 
-def _interior_offset(arr: Arrangement, point, chamber: Chamber):
-    """An interior point of the chamber, as an offset from the given vertex.
-
-    For bounded chambers the centroid is tried first; if it is vertically
-    aligned with the vertex, midpoints of the centroid with boundary-edge
-    midpoints are tried in boundary order.  The slab-derived interior point
-    is used for unbounded chambers; its abscissa never matches a vertex.
-    """
-    px, py = point.x, point.y
-    cand = [chamber.sample_point]
-    if chamber.bounded:
-        verts = [arr.points[v] for v in chamber.vertex_ids]
-        cx, cy = chamber.sample_point
-        for a, b in zip(verts, verts[1:] + verts[:1]):
-            ex, ey = (a.x + b.x) / 2, (a.y + b.y) / 2
-            cand.append(((cx + ex) / 2, (cy + ey) / 2))
-    else:
-        cand.append(chamber.interior_point)
-    for sx, sy in cand:
-        if sx != px:
-            return (sx - px, sy - py)
-    raise NotAdjacent("no interior sample off the vertical through the vertex")
-
-
 def lambda_coeff(arr: Arrangement, system: LocalSystem, point_id: int, chamber: Chamber):
     """Monodromy correction factor of a chamber at one of its vertices.
 
-    For an interior offset (x0, y0) with x0 > 0 the factor is 1; for x0 < 0
-    it is the product of m(l) over the incident lines with s(l)*x0 > y0.
-    The value does not depend on the chosen interior point.
+    The factor is 1 right of the vertical through the vertex and on the
+    wrap-around angle; left of it, on the angle (l_i, l_{i+1}), it is the
+    partial product m(l_1)...m(l_i).
     """
-    if point_id not in chamber.vertex_ids:
-        raise NotAdjacent(f"chamber {chamber.index} has no vertex {point_id}")
-    p = arr.points[point_id]
-    x0, y0 = _interior_offset(arr, p, chamber)
-    if x0 > 0:
-        return system.one()
+    index, side = chamber.corner(point_id)
     out = system.one()
-    for i in p.line_ids:
-        if arr.lines[i].slope * x0 > y0:
+    if side < 0:
+        for i in arr.points[point_id].line_ids[:index]:
             out = out * system.m(i)
     return out
 
 
 def subtended_angle(arr: Arrangement, basis: AngleBasis, point_id: int, chamber: Chamber) -> Angle:
     """The unique angle at the point spanned by directions into the chamber."""
-    if point_id not in chamber.vertex_ids:
-        raise NotAdjacent(f"chamber {chamber.index} has no vertex {point_id}")
-    p = arr.points[point_id]
-    x0, y0 = _interior_offset(arr, p, chamber)
-    mu = y0 / x0
-    lines = basis.lines_at(point_id)
-    slopes = [arr.lines[i].slope for i in lines]
-    k = len(slopes)
-    if mu < slopes[0] or mu > slopes[-1]:
-        return Angle(point_id, k)
-    for i in range(k - 1):
-        if slopes[i] < mu < slopes[i + 1]:
-            return Angle(point_id, i + 1)
-    raise NotAdjacent("interior direction lies on an incident line")
+    return Angle(point_id, chamber.corner(point_id)[0])
 
 
 def chamber_row(
@@ -278,8 +231,8 @@ def h1(arr: Arrangement, system: LocalSystem, seed: int = 0, float_check: bool =
     dense = [r.dense(basis, zero) for r in rows]
     rank_K = rank(dense) if basis.dim else 0
     betti = basis.dim - rank_K
-    bounded = [c for c in chambers(narr) if c.bounded]
-    zas_ok = len(bounded) == zaslavsky_bounded_count(narr)
+    num_chamber_rows = sum(1 for r in rows if r.kind == "chamber")
+    zas_ok = num_chamber_rows == zaslavsky_bounded_count(narr)
     agrees = True
     if float_check and system.is_exact and basis.dim:
         agrees = rank_float(to_complex_matrix(dense)) == rank_K
@@ -287,8 +240,8 @@ def h1(arr: Arrangement, system: LocalSystem, seed: int = 0, float_check: bool =
     return HomologyReport(
         dim_A=basis.dim,
         num_rows=len(rows),
-        num_point_rows=sum(1 for r in rows if r.kind != "chamber"),
-        num_chamber_rows=sum(1 for r in rows if r.kind == "chamber"),
+        num_point_rows=len(rows) - num_chamber_rows,
+        num_chamber_rows=num_chamber_rows,
         zero_chamber_rows=tuple(r.label for r in rows if r.kind == "chamber" and r.is_zero),
         rank_K=rank_K,
         h1=betti,

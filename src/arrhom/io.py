@@ -13,6 +13,7 @@ for a fixed input and seed.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .bounds import beta_certificate, cdo_bound, r0_bound, sharp_pair_report
@@ -47,6 +48,19 @@ def parse_rational(value, where: str) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {value!r} ({exc})", where) from None
     raise ParseError(f"expected a rational number, got {type(value).__name__}", where)
+
+
+def _parse_float(value, where: str) -> float:
+    """A finite real number: a JSON number or a numeric string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ParseError(f"expected a real number, got {type(value).__name__}", where)
+    try:
+        out = float(value)
+    except (ValueError, OverflowError):
+        raise ParseError(f"bad real number {value!r}", where) from None
+    if not math.isfinite(out):
+        raise ParseError(f"real number {value!r} is not finite", where)
+    return out
 
 
 def rational_str(q: Fraction) -> str:
@@ -87,9 +101,10 @@ def parse_instance(text: str):
             raise ParseError("'values' must list one [re, im] pair per line", "local_system.values")
         parsed = []
         for i, pair in enumerate(vals):
+            where = f"local_system.values[{i}]"
             if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError("each value is an [re, im] pair", f"local_system.values[{i}]")
-            parsed.append(complex(float(pair[0]), float(pair[1])))
+                raise ParseError("each value is an [re, im] pair", where)
+            parsed.append(complex(*(_parse_float(v, where) for v in pair)))
         try:
             system = LocalSystem(values=parsed)
         except ValueError as exc:

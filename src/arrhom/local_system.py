@@ -38,7 +38,7 @@ class LocalSystem:
                 raise ValueError("give either exponents with an order, or values")
             vals = tuple(complex(v) for v in values)
             for v in vals:
-                if abs(abs(v) - 1.0) > _UNIT_TOL:
+                if not abs(abs(v) - 1.0) <= _UNIT_TOL:  # NaN fails too
                     raise ValueError("float monodromy values must have modulus 1")
             self.order = None
             self.exponents = None

@@ -41,3 +41,38 @@ def pencil(n, slopes=None):
     if slopes is None:
         slopes = [Fraction(i) for i in range(n)]
     return Arrangement(Line.from_slope_intercept(s, 0) for s in slopes)
+
+
+def signs_at(arr, point):
+    """Side of every line at a point: +1 above, -1 below, 0 on it."""
+    x, y = point
+    return tuple((q > 0) - (q < 0) for q in (l.q(x, y) for l in arr.lines))
+
+
+def point_off_edge(arr, line_id, p, direction, side):
+    """A point next to the edge of a line that leaves vertex p.
+
+    The edge runs from p in x-direction ``direction`` (+1 or -1) to the next
+    point of the line, or one unit further along a ray.  The point lies above
+    its midpoint (``side`` +1) or below it (-1), closer to it than to any
+    other line, so it is inside a chamber that has this edge on its boundary.
+    """
+    line = arr.lines[line_id]
+    ahead = [q.x for q in arr.points_on_line(line_id) if (q.x - p.x) * direction > 0]
+    far = min(ahead, key=lambda x: abs(x - p.x)) if ahead else p.x + 2 * direction
+    x = (p.x + far) / 2
+    y = line.slope * x + line.intercept
+    gap = min((abs(l.q(x, y)) for j, l in enumerate(arr.lines) if j != line_id), default=1)
+    return (x, y + side * gap / 2)
+
+
+def interior_points_at(arr, chamber, point_id):
+    """Points of the chamber just off each of its boundary edges at a vertex."""
+    p = arr.points[point_id]
+    found = []
+    for i in p.line_ids:
+        for direction in (1, -1):
+            q = point_off_edge(arr, i, p, direction, chamber.signs[i])
+            if signs_at(arr, q) == chamber.signs:
+                found.append(q)
+    return found

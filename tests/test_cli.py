@@ -102,6 +102,23 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "lines[1][0]" in err
 
 
+@pytest.mark.parametrize(
+    "bad_value",
+    ['["abc", 0]', "[NaN, 0]", "[true, 0]", "[1, Infinity]", "[1e999, 0]", "[null, 0]"],
+    ids=["non-numeric", "nan", "boolean", "infinite", "overflow", "null"],
+)
+def test_float_values_parse_error(tmp_path, capsys, bad_value):
+    one = "[1.0, 0.0]"
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"lines": [[0,1,0],[1,0,0],[1,-1,0]], '
+        f'"local_system": {{"values": [{one}, {bad_value}, {one}]}}}}'
+    )
+    code, out, err = _run(capsys, "h1", str(bad))
+    assert code == 1 and out == ""
+    assert "local_system.values[1]" in err and "Traceback" not in err
+
+
 def test_admissibility_exit_code(tmp_path, capsys):
     doc = {
         "lines": [[0, 1, 0], [1, 0, 0], [1, -1, 0], [1, 1, -1]],

@@ -24,7 +24,7 @@ from arrhom.geometry import (
     transform,
     zaslavsky_bounded_count,
 )
-from conftest import pencil
+from conftest import interior_points_at, pencil, signs_at
 
 
 def test_line_canonicalization():
@@ -151,12 +151,36 @@ def test_chambers_quadrilateral(quadrilateral):
 
 
 def test_chamber_sample_points_interior(quadrilateral):
+    # points computed here from the vertices alone: the centroid of a bounded
+    # chamber, and points just off each edge at a vertex; exactly two edges at
+    # every vertex border the chamber, and the points there carry its signs
     narr, _ = normalize(quadrilateral, Basic(), seed=0)
     for ch in chambers(narr):
-        for point in (ch.sample_point, ch.interior_point):
-            for i, line in enumerate(narr.lines):
-                q = line.q(*point)
-                assert q != 0 and (q > 0) == (ch.signs[i] > 0)
+        assert 0 not in ch.signs
+        for pid in ch.vertex_ids:
+            assert len(interior_points_at(narr, ch, pid)) == 2
+        if ch.bounded:
+            verts = [narr.points[v] for v in ch.vertex_ids]
+            centroid = (sum(v.x for v in verts) / len(verts), sum(v.y for v in verts) / len(verts))
+            assert signs_at(narr, centroid) == ch.signs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chamber_vertex_cycles_are_ccw_polygons(seed):
+    # consecutive vertices share a line, and a bounded cycle starts at its
+    # leftmost vertex and has positive signed area
+    from arrhom.fuzz import random_arrangement
+
+    rng = random.Random(seed)
+    narr, _ = normalize(random_arrangement(rng, rng.randint(4, 8)), Basic(), seed=seed)
+    for ch in chambers(narr):
+        verts = [narr.points[v] for v in ch.vertex_ids]
+        pairs = list(zip(verts, verts[1:] + verts[:1] if ch.bounded else verts[1:]))
+        assert all(set(a.line_ids) & set(b.line_ids) for a, b in pairs)
+        assert ch.edge_count == len(verts) + (0 if ch.bounded else 1)
+        if ch.bounded:
+            assert verts[0].x == min(v.x for v in verts)
+            assert sum(a.x * b.y - b.x * a.y for a, b in pairs) > 0
 
 
 def test_chamber_boundary_edges_consistent(quadrilateral):

@@ -5,6 +5,7 @@ import pytest
 
 from arrhom.cyclo import CycloNumber
 from arrhom.errors import NotAdjacent, NotResonant, UnboundedChamber
+from arrhom.fuzz import random_arrangement, resonant_system
 from arrhom.geometry import Arrangement, Basic, Line, chambers, normalize, transform
 from arrhom.homology import (
     angle_basis,
@@ -17,7 +18,7 @@ from arrhom.homology import (
     subtended_angle,
 )
 from arrhom.local_system import LocalSystem, resonant_points
-from conftest import pencil
+from conftest import interior_points_at, pencil
 
 
 W = CycloNumber.zeta(3)
@@ -79,14 +80,63 @@ def test_point_rows_reject_non_resonant(quadrilateral, quadrilateral_system):
 def test_lambda_right_side_is_one(quadrilateral, quadrilateral_system):
     narr = _normalized_quadrilateral(quadrilateral)
     res = resonant_points(narr, quadrilateral_system)
+    right = 0
     for ch in chambers(narr):
         for pid in ch.vertex_ids:
             if pid not in res.point_ids:
                 continue
             p = narr.points[pid]
-            sx, _sy = ch.interior_point
-            if sx > p.x:
+            if any(x > p.x for x, _y in interior_points_at(narr, ch, pid)):
+                right += 1
                 assert lambda_coeff(narr, quadrilateral_system, pid, ch) == ONE
+    assert right
+
+
+def _slope_rule(arr, system, p, x0, y0):
+    """Angle and lambda of the interior direction (x0, y0) at p, by slopes.
+
+    The direction lies on angle i < k when its slope falls between those of
+    l_i and l_{i+1}, else on the wrap-around angle k.  Lambda is 1 for
+    x0 > 0 and the product of m(l) over the lines with s(l)*x0 > y0 for x0 < 0.
+    """
+    mu = y0 / x0
+    slopes = [arr.lines[i].slope for i in p.line_ids]
+    k = len(slopes)
+    index = next((i + 1 for i in range(k - 1) if slopes[i] < mu < slopes[i + 1]), k)
+    lam = system.one()
+    if x0 < 0:
+        for i in p.line_ids:
+            if arr.lines[i].slope * x0 > y0:
+                lam = lam * system.m(i)
+    return index, lam
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_corner_data_matches_sampled_directions(seed):
+    # the first random arrangement of the stream with a resonant point
+    rng = random.Random(seed)
+    while True:
+        arr = random_arrangement(rng, rng.randint(4, 8))
+        system = resonant_system(rng, arr, rng.randint(2, 6))
+        narr, _ = normalize(arr, Basic(), seed)
+        res = resonant_points(narr, system)
+        if res.point_ids:
+            break
+    basis = angle_basis(narr, res)
+    checked = set()
+    for ch in chambers(narr):
+        for pid in ch.vertex_ids:
+            if pid not in res:
+                continue
+            p = narr.points[pid]
+            samples = interior_points_at(narr, ch, pid)
+            assert len(samples) == 2
+            for x, y in samples:
+                index, lam = _slope_rule(narr, system, p, x - p.x, y - p.y)
+                assert subtended_angle(narr, basis, pid, ch).index == index
+                assert lambda_coeff(narr, system, pid, ch) == lam
+            checked.add(pid)
+    assert checked == set(res.point_ids)
 
 
 def test_lambda_sample_point_independence(quadrilateral, quadrilateral_system):

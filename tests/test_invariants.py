@@ -1,0 +1,116 @@
+"""Internal invariants raise InvariantError, which `python -O` keeps.
+
+Each check is made to fail by injecting a fault into the data it guards.
+"""
+
+import ast
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import arrhom
+from arrhom import bounds, cyclo, fox
+from arrhom.cli import main
+from arrhom.errors import ArrhomError, InvariantError
+from arrhom.geometry import Basic, normalize
+from arrhom.homology import angle_basis, point_rows
+from arrhom.local_system import LocalSystem, ResonantSet
+
+SRC = Path(arrhom.__file__).resolve().parent
+
+
+def test_no_bare_assert_in_the_package():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_invariant_error_is_a_package_error():
+    assert issubclass(InvariantError, ArrhomError)
+
+
+def test_point_rows_checks_the_resonance_product(quadrilateral, quadrilateral_system, monkeypatch):
+    # a double point posing as resonant: its monodromy product is w^2, not 1
+    monkeypatch.setattr(quadrilateral_system, "is_resonant_at", lambda p: True)
+    narr, _ = normalize(quadrilateral, Basic(), 0)
+    double = next(p.index for p in narr.points if p.multiplicity == 2)
+    basis = angle_basis(narr, ResonantSet((double,), ()))
+    with pytest.raises(InvariantError, match="product at resonant point"):
+        point_rows(narr, quadrilateral_system, basis, double)
+
+
+def test_beta_certificate_checks_the_base_line_is_slope_minimal(
+    quadrilateral, quadrilateral_system, monkeypatch
+):
+    real = bounds.angle_basis
+
+    def reversed_basis(arr, resonant):
+        basis = real(arr, resonant)
+        lines_at = basis.lines_at
+        basis.lines_at = lambda pid: tuple(reversed(lines_at(pid)))
+        return basis
+
+    monkeypatch.setattr(bounds, "angle_basis", reversed_basis)
+    with pytest.raises(InvariantError, match="slope-minimal"):
+        bounds.beta_certificate(quadrilateral, quadrilateral_system, 0)
+
+
+def test_beta_certificate_checks_each_line_has_a_lowest_point(
+    quadrilateral, quadrilateral_system, monkeypatch
+):
+    real = bounds.normalize
+
+    def without_points_off_base(arr, profile, seed):
+        narr, record = real(arr, profile, seed)
+        narr._points = [p for p in narr.points if profile.l0 in p.line_ids]
+        return narr, record
+
+    monkeypatch.setattr(bounds, "normalize", without_points_off_base)
+    with pytest.raises(InvariantError, match="no unique lowest point"):
+        bounds.beta_certificate(quadrilateral, quadrilateral_system, 0)
+
+
+def test_decone_checks_the_monodromy_at_infinity(quadrilateral, quadrilateral_system, monkeypatch):
+    monkeypatch.setattr(quadrilateral_system, "m_inverse", lambda i: quadrilateral_system.one())
+    with pytest.raises(InvariantError, match="around infinity"):
+        fox.decone(quadrilateral, quadrilateral_system, 0)
+
+
+def test_wiring_diagram_checks_crossing_wires_are_adjacent(
+    quadrilateral, quadrilateral_system, monkeypatch
+):
+    # one crossing event of the bottom and the top wire, with wires between
+    dec = fox.decone(quadrilateral, quadrilateral_system, 0)
+    order = fox.wiring_diagram(dec).initial_order
+    assert len(order) >= 3
+    far_apart = {(Fraction(0), Fraction(0)): (order[0], order[-1])}
+    monkeypatch.setattr(fox, "_affine_crossings", lambda lines: far_apart)
+    with pytest.raises(InvariantError, match="not adjacent"):
+        fox.wiring_diagram(dec)
+
+
+def test_cyclotomic_polynomial_checks_exact_division(monkeypatch):
+    monkeypatch.setattr(cyclo, "_poly_divmod", lambda num, den: ([1], [1]))
+    with pytest.raises(InvariantError, match="not divisible"):
+        cyclo.cyclotomic_polynomial.__wrapped__(12)
+
+
+def test_invariant_failure_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(LocalSystem, "m_inverse", lambda self, i: self.one())
+    path = tmp_path / "quad.json"
+    path.write_text(
+        json.dumps(
+            {
+                "lines": [[0, 1, 0], [1, 0, 0], [1, -1, 0], [1, 1, -1], [1, 0, -1], [0, 1, -1]],
+                "local_system": {"order": 3, "exponents": [1] * 6},
+            }
+        )
+    )
+    assert main(["oracle", str(path)]) == 3
+    assert "monodromy around infinity" in capsys.readouterr().err
