@@ -1,4 +1,5 @@
-"""Combinatorial upper bounds on the twisted first Betti number.
+"""Combinatorial upper bounds on the twisted first Betti number, and the
+sharp-pair checks on an h1 that the caller has computed.
 
 Two bounds are computed per base line l0: the sum of mult(p) - 2 over the
 resonant points on l0, and max(0, #R0 - 1) where R0 is that resonant set
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 from .cyclo import rank
 from .errors import InvariantError, PencilNotCovered
-from .geometry import Arrangement, SharpPairAdapted, normalize, sharp_pairs
-from .homology import angle_basis, h1, relation_matrix
+from .geometry import Arrangement, SharpPairAdapted, chambers, normalize, sharp_pairs
+from .homology import relation_matrix
 from .local_system import LocalSystem, resonant_points
 
 __all__ = [
@@ -97,7 +98,7 @@ def beta_certificate(arr: Arrangement, system: LocalSystem, l0: int, seed: int =
         raise PencilNotCovered("the neighbor certificate needs more than one point")
     narr, record = normalize(arr, SharpPairAdapted(l0), seed)
     res = resonant_points(narr, system)
-    basis = angle_basis(narr, res)
+    basis, rel_rows = relation_matrix(narr, system, res, chambers(narr))
     one = system.one()
     r0 = res.on_line(l0)
 
@@ -152,7 +153,6 @@ def beta_certificate(arr: Arrangement, system: LocalSystem, l0: int, seed: int =
                     _vec_add(diff, alpha_of_line[lb], -one)
                 extra.append((qid, diff))
 
-    _, rel_rows = relation_matrix(narr, system)
     dense_rel = [r.dense(basis, zero) for r in rel_rows]
     base_rank = rank(dense_rel) if basis.dim else 0
     all_in = True
@@ -189,7 +189,6 @@ class SharpPairReport:
     """Sharp pairs of the arrangement and the theorems they trigger."""
 
     pairs: list
-    h1: int
     bound_applicable: bool  # some sharp pair exists: h1 <= 1 must hold
     bound_satisfied: bool | None
     vanishing_applicable: bool  # constant monodromy of even order: h1 = 0
@@ -214,23 +213,21 @@ def _effective_constant_order(system: LocalSystem) -> int | None:
     return system.order // gcd(system.order, k)
 
 
-def sharp_pair_report(arr: Arrangement, system: LocalSystem, seed: int = 0) -> SharpPairReport:
-    """List sharp pairs and check the bounds they imply for the computed h1.
+def sharp_pair_report(arr: Arrangement, system: LocalSystem, h1_value: int) -> SharpPairReport:
+    """List sharp pairs and check the bounds they imply for a computed h1.
 
     Pencils are excluded from both checks: with a single intersection point
     every pair is vacuously sharp while h1 can be as large as mult - 2, so
     the statements only make sense with more than one intersection point.
     """
     pairs = sharp_pairs(arr)
-    report = h1(arr, system, seed)
     applicable = bool(pairs) and len(arr.points) > 1
-    bound_sat = (report.h1 <= 1) if applicable else None
+    bound_sat = (h1_value <= 1) if applicable else None
     d_eff = _effective_constant_order(system)
     vanishing = applicable and d_eff is not None and d_eff % 2 == 0 and arr.n % d_eff == 0
-    vanishing_sat = (report.h1 == 0) if vanishing else None
+    vanishing_sat = (h1_value == 0) if vanishing else None
     return SharpPairReport(
         pairs=pairs,
-        h1=report.h1,
         bound_applicable=applicable,
         bound_satisfied=bound_sat,
         vanishing_applicable=vanishing,

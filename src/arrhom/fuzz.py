@@ -24,7 +24,7 @@ from .errors import DuplicateLine, NormalizationFailed
 from .fox import oracle_h1
 from .geometry import Arrangement, Line, sharp_pairs
 from .homology import h1, point_rows, sector_sums
-from .local_system import LocalSystem, resonant_points
+from .local_system import LocalSystem
 
 __all__ = [
     "Instance",
@@ -293,7 +293,6 @@ def run_trial(
     all_decones: bool = False,
     extra_seeds: int = 0,
     with_certificate: bool = True,
-    with_sector: bool = True,
 ) -> TrialResult:
     """Run the full consistency battery on one instance."""
     violations = []
@@ -312,7 +311,7 @@ def run_trial(
             )
 
     narr = rep.arrangement
-    res = resonant_points(narr, system)
+    res = rep.resonant
     for pid in res.point_ids:
         if narr.points[pid].multiplicity != len(
             [a for a in rep.basis.angles if a.point_id == pid]
@@ -336,8 +335,8 @@ def run_trial(
         if not pencil and rep.h1 > r0_bound(arr, system, lid):
             violations.append(f"resonant-count bound violated along line {lid}")
 
-    if with_sector and res.point_ids:
-        sums = sector_sums(narr, system, res, rep.basis)
+    if res.point_ids:
+        sums = sector_sums(rep, system)
         for pid in res.point_ids:
             plus, minus = point_rows(narr, system, rep.basis, pid)
             got_plus = {k: v for k, v in sums[pid][0].items() if v}
@@ -359,11 +358,10 @@ def run_trial(
         if other.h1 != rep.h1:
             violations.append(f"h1 changed under normalization seed {seed + 7919 * extra}")
 
-    if sharp_pairs(arr):
-        sp = sharp_pair_report(arr, system, seed)
-        if sp.bound_satisfied is False:
-            violations.append("sharp pair present but h1 > 1")
-        if sp.vanishing_satisfied is False:
-            violations.append("even constant order with a sharp pair but h1 != 0")
+    sp = sharp_pair_report(arr, system, rep.h1)
+    if sp.bound_satisfied is False:
+        violations.append("sharp pair present but h1 > 1")
+    if sp.vanishing_satisfied is False:
+        violations.append("even constant order with a sharp pair but h1 != 0")
 
     return TrialResult(h1=rep.h1, oracle=oracle, violations=violations)

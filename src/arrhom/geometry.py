@@ -427,10 +427,10 @@ def sharp_pairs(arr: Arrangement) -> list:
     A pair is sharp when one of the two components of the projective plane
     minus the two lines contains no intersection point of the arrangement.
     """
+    signs = [[_sign(l.hom_eval(*p.coords)) for l in arr.lines] for p in arr.points]
     out = []
     for i, j in itertools.combinations(range(arr.n), 2):
-        labels = _pair_component_labels(arr, arr.lines[i], arr.lines[j])
-        if len(labels) < 2:
+        if len({s[i] * s[j] for s in signs if s[i] and s[j]}) < 2:
             out.append((i, j))
     return out
 

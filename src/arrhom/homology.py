@@ -177,8 +177,8 @@ def chamber_row(
     return RelationRow("chamber", chamber.index, coeffs)
 
 
-def relation_matrix(arr: Arrangement, system: LocalSystem, seed=None):
-    """Angle basis and the full relation row list of a normalized arrangement.
+def relation_matrix(arr: Arrangement, system: LocalSystem, resonant: ResonantSet, cells: list):
+    """Angle basis and relation rows of a normalized arrangement from its chambers.
 
     Rows are ordered point rows first (plus then minus, by point id), then
     bounded chamber rows by chamber id.  Zero chamber rows are retained so
@@ -186,14 +186,13 @@ def relation_matrix(arr: Arrangement, system: LocalSystem, seed=None):
     """
     if not arr.is_normalized:
         raise NotNormalized("relation matrix needs a normalized arrangement")
-    resonant = resonant_points(arr, system)
     basis = angle_basis(arr, resonant)
     rows = []
     for pid in resonant.point_ids:
         plus, minus = point_rows(arr, system, basis, pid)
         rows.append(plus)
         rows.append(minus)
-    for ch in chambers(arr):
+    for ch in cells:
         if ch.bounded:
             rows.append(chamber_row(arr, system, basis, resonant, ch))
     return basis, rows
@@ -201,7 +200,7 @@ def relation_matrix(arr: Arrangement, system: LocalSystem, seed=None):
 
 @dataclass
 class HomologyReport:
-    """Outcome of the angle/chamber computation for one local system."""
+    """Outcome of the angle/chamber computation; checks read its frame's analysis."""
 
     dim_A: int
     num_rows: int
@@ -216,17 +215,21 @@ class HomologyReport:
     float_agrees: bool
     record: NormalizationRecord
     arrangement: Arrangement = field(repr=False)
+    resonant: ResonantSet = field(repr=False)
+    chambers: list = field(repr=False)
     basis: AngleBasis = field(repr=False)
     rows: list = field(repr=False)
 
 
-def h1(arr: Arrangement, system: LocalSystem, seed: int = 0, float_check: bool = True) -> HomologyReport:
+def h1(arr: Arrangement, system: LocalSystem, seed: int = 0) -> HomologyReport:
     """Normalize, assemble the relation matrix and report dim A - rank K."""
     system.require_admissible(arr)
     if arr.n < 2:
         raise ValueError("need an arrangement of at least 2 lines")
     narr, record = normalize(arr, Basic(), seed)
-    basis, rows = relation_matrix(narr, system)
+    resonant = resonant_points(narr, system)
+    cells = chambers(narr)
+    basis, rows = relation_matrix(narr, system, resonant, cells)
     zero = system.one() - system.one()
     dense = [r.dense(basis, zero) for r in rows]
     rank_K = rank(dense) if basis.dim else 0
@@ -234,7 +237,7 @@ def h1(arr: Arrangement, system: LocalSystem, seed: int = 0, float_check: bool =
     num_chamber_rows = sum(1 for r in rows if r.kind == "chamber")
     zas_ok = num_chamber_rows == zaslavsky_bounded_count(narr)
     agrees = True
-    if float_check and system.is_exact and basis.dim:
+    if system.is_exact and basis.dim:
         agrees = rank_float(to_complex_matrix(dense)) == rank_K
     e = euler_characteristic(narr)
     return HomologyReport(
@@ -251,12 +254,14 @@ def h1(arr: Arrangement, system: LocalSystem, seed: int = 0, float_check: bool =
         float_agrees=agrees,
         record=record,
         arrangement=narr,
+        resonant=resonant,
+        chambers=cells,
         basis=basis,
         rows=rows,
     )
 
 
-def sector_sums(arr: Arrangement, system: LocalSystem, resonant: ResonantSet, basis: AngleBasis):
+def sector_sums(rep: HomologyReport, system: LocalSystem):
     """Per-point sums of lambda-weighted angles over the two sides of the
     slope-minimal incident line, over *all* adjacent chambers.
 
@@ -265,12 +270,12 @@ def sector_sums(arr: Arrangement, system: LocalSystem, resonant: ResonantSet, ba
     sum must reproduce the all-ones point row and the negative-side sum the
     partial-product row.
     """
-    all_chambers = chambers(arr)
+    arr, basis = rep.arrangement, rep.basis
     out = {}
-    for pid in resonant.point_ids:
+    for pid in rep.resonant.point_ids:
         l1 = basis.lines_at(pid)[0]
         plus, minus = {}, {}
-        for ch in all_chambers:
+        for ch in rep.chambers:
             if pid not in ch.vertex_ids:
                 continue
             ang = subtended_angle(arr, basis, pid, ch)

@@ -19,9 +19,9 @@ from fractions import Fraction
 from .bounds import beta_certificate, cdo_bound, r0_bound, sharp_pair_report
 from .errors import NormalizationFailed, ParseError, PencilNotCovered
 from .fox import oracle_h1
-from .geometry import Arrangement, Line, sharp_pairs
+from .geometry import Arrangement, Line
 from .homology import h1
-from .local_system import LocalSystem, resonant_points
+from .local_system import LocalSystem
 
 __all__ = [
     "build_report",
@@ -112,7 +112,7 @@ def parse_instance(text: str):
     else:
         order = raw_ls.get("order")
         exps = raw_ls.get("exponents")
-        if not isinstance(order, int) or order < 1:
+        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
             raise ParseError("'order' must be a positive integer", "local_system.order")
         if not isinstance(exps, list) or len(exps) != arr.n:
             raise ParseError("'exponents' must list one integer per line", "local_system.exponents")
@@ -169,8 +169,7 @@ def build_report(
     """The full JSON-ready report for one instance."""
     rep = h1(arr, system, seed)
     narr = rep.arrangement
-    res = resonant_points(narr, system)
-    pairs = sharp_pairs(arr)
+    sp = sharp_pair_report(arr, system, rep.h1)
     pencil = len(arr.points) <= 1
 
     per_line = []
@@ -191,8 +190,8 @@ def build_report(
         "normalization": _record_dict(rep.record),
         "census": {
             "lines": arr.n,
-            "points": [_point_dict(narr, p, res) for p in narr.points],
-            "resonant_points": list(res.point_ids),
+            "points": [_point_dict(narr, p, rep.resonant) for p in narr.points],
+            "resonant_points": list(rep.resonant.point_ids),
             "bounded_chambers": rep.num_chamber_rows,
             "zaslavsky_ok": rep.zaslavsky_ok,
         },
@@ -209,14 +208,13 @@ def build_report(
         "euler_characteristic": rep.euler,
         "h2": rep.h2,
         "bounds": {"per_line": per_line, "min": min(finite_bounds) if finite_bounds else 0},
-        "sharp_pairs": [list(p) for p in pairs],
+        "sharp_pairs": [list(p) for p in sp.pairs],
         "consistency": {
             "zaslavsky_ok": rep.zaslavsky_ok,
             "float_rank_agrees": rep.float_agrees,
         },
     }
 
-    sp = sharp_pair_report(arr, system, seed)
     report["theorems"] = {
         "resonant_count_bound": {
             "applicable": not pencil,

@@ -42,8 +42,9 @@ def render_svg(arr: Arrangement, system: LocalSystem | None = None) -> str:
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
 
     res = resonant_points(arr, system).point_ids if system is not None else ()
-    sharp_lines = sorted({i for pair in sharp_pairs(arr) for i in pair})
-    annot = ";".join(f"({i},{j})" for i, j in sharp_pairs(arr))
+    pairs = sharp_pairs(arr)
+    sharp_lines = sorted({i for pair in pairs for i in pair})
+    annot = ";".join(f"({i},{j})" for i, j in pairs)
 
     parts = []
     w, h = float(x1 - x0), float(y1 - y0)

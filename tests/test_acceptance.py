@@ -185,7 +185,7 @@ def test_criterion_6_sector_sum_identity(general_corpus, general_reports):
         res = resonant_points(narr, system)
         if not res.point_ids:
             continue
-        sums = sector_sums(narr, system, res, rep.basis)
+        sums = sector_sums(rep, system)
         for pid in res.point_ids:
             points_checked += 1
             plus, minus = point_rows(narr, system, rep.basis, pid)

@@ -109,40 +109,50 @@ def test_beta_certificates_on_fuzz():
 
 def test_sharp_pair_report_triangle(generic_triangle):
     ls = LocalSystem(order=3, exponents=[1, 1, 1])
-    rep = sharp_pair_report(generic_triangle, ls)
+    value = h1(generic_triangle, ls).h1
+    rep = sharp_pair_report(generic_triangle, ls, value)
     assert rep.bound_applicable and rep.bound_satisfied
-    assert rep.h1 == 0
+    assert value == 0
     assert rep.constant_order == 3
     assert not rep.vanishing_applicable  # odd order
 
 
 def test_sharp_pair_report_quadrilateral(quadrilateral, quadrilateral_system):
-    rep = sharp_pair_report(quadrilateral, quadrilateral_system)
-    assert rep.bound_applicable and rep.bound_satisfied and rep.h1 == 1
+    value = h1(quadrilateral, quadrilateral_system).h1
+    rep = sharp_pair_report(quadrilateral, quadrilateral_system, value)
+    assert rep.bound_applicable and rep.bound_satisfied and value == 1
+    # the report checks the value it is given
+    assert sharp_pair_report(quadrilateral, quadrilateral_system, 2).bound_satisfied is False
 
 
 def test_sharp_pair_report_even_constant(quadrilateral):
     for d in (2, 6):
-        rep = sharp_pair_report(quadrilateral, LocalSystem(order=d, exponents=[1] * 6))
+        ls = LocalSystem(order=d, exponents=[1] * 6)
+        value = h1(quadrilateral, ls).h1
+        rep = sharp_pair_report(quadrilateral, ls, value)
         assert rep.vanishing_applicable
         assert rep.vanishing_satisfied
-        assert rep.h1 == 0
+        assert value == 0
+        assert sharp_pair_report(quadrilateral, ls, 1).vanishing_satisfied is False
 
 
 def test_sharp_pair_report_pencil_not_applicable():
     arr = pencil(5)
     ls = LocalSystem(order=5, exponents=[1] * 5)
-    rep = sharp_pair_report(arr, ls)
+    value = h1(arr, ls).h1
+    rep = sharp_pair_report(arr, ls, value)
     assert rep.pairs  # vacuously sharp pairs exist
     assert not rep.bound_applicable  # but the theorem does not cover pencils
-    assert rep.h1 == 3
+    assert value == 3
 
 
 def test_sharp_fuzz_families():
     for i, inst in enumerate(sharp_corpus(seed=42, count=8)):
-        rep = sharp_pair_report(inst.arrangement, inst.system, seed=i)
+        value = h1(inst.arrangement, inst.system, seed=i).h1
+        rep = sharp_pair_report(inst.arrangement, inst.system, value)
         assert rep.bound_applicable
         assert rep.bound_satisfied
     for i, inst in enumerate(sharp_corpus(seed=43, count=5, even_constant=True)):
-        rep = sharp_pair_report(inst.arrangement, inst.system, seed=i)
+        value = h1(inst.arrangement, inst.system, seed=i).h1
+        rep = sharp_pair_report(inst.arrangement, inst.system, value)
         assert rep.vanishing_applicable and rep.vanishing_satisfied

@@ -119,6 +119,16 @@ def test_float_values_parse_error(tmp_path, capsys, bad_value):
     assert "local_system.values[1]" in err and "Traceback" not in err
 
 
+def test_boolean_order_parse_error(tmp_path, capsys):
+    # bool is a subclass of int, so `true` must be rejected explicitly
+    doc = {"lines": A3_DOC["lines"], "local_system": {"order": True, "exponents": [1] * 6}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "h1", str(bad))
+    assert code == 1 and out == ""
+    assert "local_system.order" in err and "Traceback" not in err
+
+
 def test_admissibility_exit_code(tmp_path, capsys):
     doc = {
         "lines": [[0, 1, 0], [1, 0, 0], [1, -1, 0], [1, 1, -1]],

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrhom.errors import DuplicateLine, NotNormalized
+from arrhom.fuzz import corpus, sharp_corpus
 from arrhom.geometry import (
     Arrangement,
     Basic,
     Line,
     SharpPairAdapted,
+    _pair_component_labels,
     chambers,
     euler_characteristic,
     incidence_signature,
@@ -260,6 +262,20 @@ def test_sharp_pairs_quadrilateral_brute_force(quadrilateral):
 
     assert sharp_pairs(quadrilateral) == brute(quadrilateral)
     assert len(sharp_pairs(quadrilateral)) == 12
+
+
+def test_sharp_pairs_match_pair_component_labels():
+    # the one-sign-table sharp_pairs against the per-pair labels used by the
+    # adapted frames
+    insts = corpus(20240810, 100) + corpus(7, 100) + sharp_corpus(3, 100)
+    for k, inst in enumerate(insts):
+        arr = inst.arrangement
+        ref = [
+            (i, j)
+            for i, j in itertools.combinations(range(arr.n), 2)
+            if len(_pair_component_labels(arr, arr.lines[i], arr.lines[j])) < 2
+        ]
+        assert sharp_pairs(arr) == ref, k
 
 
 def test_euler_characteristic_examples(quadrilateral, generic_triangle):

@@ -209,7 +209,8 @@ def test_chamber_rows_structure(quadrilateral, quadrilateral_system):
 
 def test_relation_matrix_census(quadrilateral, quadrilateral_system):
     narr = _normalized_quadrilateral(quadrilateral)
-    basis, rows = relation_matrix(narr, quadrilateral_system)
+    res = resonant_points(narr, quadrilateral_system)
+    basis, rows = relation_matrix(narr, quadrilateral_system, res, chambers(narr))
     assert basis.dim == 12
     assert len(rows) == 14
     kinds = [r.kind for r in rows]
@@ -293,12 +294,11 @@ def test_h1_invariance_under_seeds_and_transforms(quadrilateral, quadrilateral_s
 
 
 def test_sector_sums_reproduce_point_rows(quadrilateral, quadrilateral_system):
-    narr = _normalized_quadrilateral(quadrilateral)
-    res = resonant_points(narr, quadrilateral_system)
-    basis = angle_basis(narr, res)
-    sums = sector_sums(narr, quadrilateral_system, res, basis)
-    for pid in res.point_ids:
-        plus, minus = point_rows(narr, quadrilateral_system, basis, pid)
+    rep = h1(quadrilateral, quadrilateral_system, seed=0)
+    sums = sector_sums(rep, quadrilateral_system)
+    assert sorted(sums) == list(rep.resonant.point_ids)
+    for pid in rep.resonant.point_ids:
+        plus, minus = point_rows(rep.arrangement, quadrilateral_system, rep.basis, pid)
         got_plus = {k: v for k, v in sums[pid][0].items() if v}
         got_minus = {k: v for k, v in sums[pid][1].items() if v}
         assert got_plus == plus.coeffs

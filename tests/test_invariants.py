@@ -48,15 +48,15 @@ def test_point_rows_checks_the_resonance_product(quadrilateral, quadrilateral_sy
 def test_beta_certificate_checks_the_base_line_is_slope_minimal(
     quadrilateral, quadrilateral_system, monkeypatch
 ):
-    real = bounds.angle_basis
+    real = bounds.relation_matrix
 
-    def reversed_basis(arr, resonant):
-        basis = real(arr, resonant)
+    def reversed_basis(*args):
+        basis, rows = real(*args)
         lines_at = basis.lines_at
         basis.lines_at = lambda pid: tuple(reversed(lines_at(pid)))
-        return basis
+        return basis, rows
 
-    monkeypatch.setattr(bounds, "angle_basis", reversed_basis)
+    monkeypatch.setattr(bounds, "relation_matrix", reversed_basis)
     with pytest.raises(InvariantError, match="slope-minimal"):
         bounds.beta_certificate(quadrilateral, quadrilateral_system, 0)
 

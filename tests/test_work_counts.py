@@ -1,0 +1,89 @@
+"""How often one report or one trial runs each expensive step.
+
+h1, the chambers, the resonant set and the sharp pairs are computed once per
+frame and handed to the checks.  Each counted function is wrapped wherever
+its object is bound (``from .geometry import chambers`` copies the binding
+into the importing module), so calls from every module are seen.
+"""
+
+import json
+import sys
+from collections import Counter
+
+import pytest
+
+from arrhom import fuzz, geometry, homology
+from arrhom.cli import main
+from arrhom.fuzz import run_trial
+from arrhom.geometry import Arrangement
+from conftest import QUADRILATERAL_LINES
+
+TRACKED = {
+    "h1": (homology, "h1"),
+    "chambers": (geometry, "chambers"),
+    "normalize": (geometry, "normalize"),
+    "sharp_pairs": (geometry, "sharp_pairs"),
+}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counter = Counter()
+    modules = [
+        m for k, m in list(sys.modules.items())
+        if m is not None and (k == "arrhom" or k.startswith("arrhom."))
+    ]
+    for name, (owner, attr) in TRACKED.items():
+        original = getattr(owner, attr)
+
+        def wrapper(*args, _fn=original, _name=name, **kwargs):
+            counter[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, wrapper)
+    return counter
+
+
+@pytest.fixture
+def quad_file(tmp_path):
+    doc = {
+        "lines": [[l.a, l.b, l.c] for l in QUADRILATERAL_LINES],
+        "local_system": {"order": 3, "exponents": [1] * 6},
+    }
+    path = tmp_path / "quad.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_one_report_computes_each_fact_once(calls, quad_file, capsys):
+    assert main(["h1", quad_file, "--no-oracle"]) == 0
+    assert calls == {"h1": 1, "chambers": 1, "normalize": 1, "sharp_pairs": 1}
+
+
+def test_certificates_add_one_chamber_walk_each(calls, quad_file, capsys):
+    assert main(["h1", quad_file, "--no-oracle", "--certificates"]) == 0
+    certs = json.loads(capsys.readouterr().out)["beta_certificates"]
+    built = sum(1 for c in certs if not c["status"].startswith("unavailable"))
+    assert built > 0
+    assert calls["h1"] == 1
+    assert calls["chambers"] == 1 + built
+
+
+def test_trial_runs_h1_once_per_frame(calls, quadrilateral_system, monkeypatch):
+    walks_in_sector_sums = []
+    original = fuzz.sector_sums
+
+    def spy(*args, **kwargs):
+        before = calls["chambers"]
+        out = original(*args, **kwargs)
+        walks_in_sector_sums.append(calls["chambers"] - before)
+        return out
+
+    monkeypatch.setattr(fuzz, "sector_sums", spy)
+    result = run_trial(Arrangement(QUADRILATERAL_LINES), quadrilateral_system, extra_seeds=1)
+    assert result.ok, result.violations
+    assert calls["h1"] == 3  # exact, float, one reseeded frame
+    assert walks_in_sector_sums == [0]
