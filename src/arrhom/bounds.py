@@ -23,7 +23,7 @@ from .cyclo import rank
 from .errors import InvariantError, PencilNotCovered
 from .geometry import Arrangement, SharpPairAdapted, chambers, normalize, sharp_pairs
 from .homology import relation_matrix
-from .local_system import LocalSystem, resonant_points
+from .local_system import LocalSystem, ResonantSet, resonant_points
 
 __all__ = [
     "BetaCertificate",
@@ -35,18 +35,19 @@ __all__ = [
 ]
 
 
-def cdo_bound(arr: Arrangement, system: LocalSystem, l0: int) -> int:
-    """Sum of (mult(p) - 2) over resonant points on the base line."""
-    res = resonant_points(arr, system)
-    return sum(arr.points[pid].multiplicity - 2 for pid in res.on_line(l0))
+def cdo_bound(arr: Arrangement, resonant: ResonantSet, l0: int) -> int:
+    """Sum of (mult(p) - 2) over resonant points on the base line.
+
+    ``resonant`` is the resonant set of ``arr`` itself.
+    """
+    return sum(arr.points[pid].multiplicity - 2 for pid in resonant.on_line(l0))
 
 
-def r0_bound(arr: Arrangement, system: LocalSystem, l0: int) -> int:
-    """max(0, #R0 - 1); undefined for pencils."""
+def r0_bound(arr: Arrangement, resonant: ResonantSet, l0: int) -> int:
+    """max(0, #R0 - 1) for the resonant set of ``arr``; undefined for pencils."""
     if len(arr.points) <= 1:
         raise PencilNotCovered("the resonant-count bound needs more than one point")
-    res = resonant_points(arr, system)
-    return max(0, len(res.on_line(l0)) - 1)
+    return max(0, len(resonant.on_line(l0)) - 1)
 
 
 @dataclass

@@ -2,9 +2,18 @@
 
 Elements are stored in the power basis 1, zeta, ..., zeta^{phi(d)-1} modulo
 the d-th cyclotomic polynomial, with arbitrary-precision rational
-coefficients.  Rank computation uses fraction-free (Bareiss-style)
-elimination with a deterministic pivot order, so repeated runs on the same
-matrix give identical pivot sequences.
+coefficients.
+
+Exact rank is computed from modular images, not over Q(zeta_d) itself.
+Scaling each row by the lcm of its coefficient denominators puts every
+entry in Z[zeta_d] without changing the rank r.  For a prime p = 1 (mod d)
+and a primitive d-th root w mod p, zeta -> w is a ring map Z[zeta_d] -> F_p,
+so the rank mod p never exceeds r, and it falls short only when p divides
+the norm N(Delta) of a fixed nonzero r x r minor Delta.  Hadamard's
+inequality in every complex embedding bounds |N(Delta)| by H^phi(d), where
+H is the product of the row norms (each entry counted as the l1-norm of its
+coefficients).  Once the distinct primes used multiply to more than
+H^phi(d), one of them reached r, so the largest rank seen is exact.
 
 A floating-point fallback exists for monodromy values that are not roots of
 unity: matrices of plain ``complex`` numbers are eliminated with partial
@@ -17,6 +26,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from numbers import Rational as _Rational
 
 from .errors import InvariantError, ModeMismatch, OrderMismatch
@@ -28,6 +38,7 @@ __all__ = [
     "rank",
     "rank_exact",
     "rank_float",
+    "rank_prime",
     "to_complex_matrix",
 ]
 
@@ -342,44 +353,155 @@ def _frac_divmod(num, den):
 
 
 # ---------------------------------------------------------------------------
-# rank computation
+# exact rank from certified modular images
+
+_PRIME_CEILING = 1 << 61
+# Miller-Rabin with these bases decides primality of every n < 3.3e24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    s, t = 0, n - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for a in _MR_BASES:
+        x = pow(a, t, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_factors(n: int) -> list:
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+@lru_cache(maxsize=None)
+def rank_prime(d: int, k: int) -> tuple:
+    """The k-th prime p = 1 (mod d) below 2^61, counting down from 2^61,
+    with a primitive d-th root of unity w mod p, as ``(p, w)``.
+
+    Sending zeta_d to w is a ring map Z[zeta_d] -> F_p, since Phi_d(w) = 0
+    mod p.  Primes are found on first use for each order, not at import.
+    """
+    top = _PRIME_CEILING if k == 0 else rank_prime(d, k - 1)[0]
+    p = top - 1 - (top - 2) % d  # largest p < top with p = 1 (mod d)
+    while not _is_prime(p):
+        p -= d
+    factors = _prime_factors(d)
+    g = 2
+    while True:
+        w = pow(g, (p - 1) // d, p)
+        if all(pow(w, d // q, p) != 1 for q in factors):
+            return p, w
+        g += 1
+
+
+def _rank_mod(rows, p: int, w: int, phi: int, cap: int) -> int:
+    """Rank over F_p of integer rows under zeta -> w, by sparse elimination.
+
+    ``rows`` holds lists of (column, power-basis coefficients); each row is
+    reduced against the pivot rows found so far, which are kept monic in
+    their leading column.
+    """
+    powers = [1] * phi
+    for j in range(1, phi):
+        powers[j] = powers[j - 1] * w % p
+    pivots = {}
+    for entries in rows:
+        row = {}
+        for col, cs in entries:
+            v = sum(c * q for c, q in zip(cs, powers)) % p
+            if v:
+                row[col] = v
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {j: v * inv % p for j, v in row.items()}
+                break
+            f = row[lead]
+            for j, v in piv.items():
+                x = (row.get(j, 0) - f * v) % p
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+        if len(pivots) == cap:
+            break
+    return len(pivots)
 
 
 def rank_exact(rows) -> int:
-    """Rank over Q(zeta_d) by fraction-free elimination.
+    """Rank over Q(zeta_d) of a matrix of :class:`CycloNumber`, certified
+    from its images modulo primes.
 
-    Pivot order is deterministic: scan columns left to right and, within a
-    column, rows top to bottom; the first nonzero entry becomes the pivot.
+    Each row is scaled by the lcm of its coefficient denominators, which
+    leaves the rank r unchanged and puts every entry in Z[zeta_d].  For
+    primes p = 1 (mod d) from :func:`rank_prime`, the row images under
+    zeta -> w in F_p are eliminated sparsely.  The result is exact:
+
+    - rank mod p <= r, since a nonzero minor mod p lifts to a nonzero minor;
+    - if rank mod p < r, then p divides N(Delta) for a fixed nonzero r x r
+      minor Delta: Delta lies in the kernel of Z[zeta_d] -> F_p, which is a
+      prime over p, and N(Delta) is Delta times algebraic integers;
+    - |N(Delta)| <= H^phi(d), where H is the product over rows of
+      max(1, ||row||_2) with each entry counted as the l1-norm of its
+      coefficients, because every complex embedding of Delta is bounded by
+      Hadamard's inequality.
+
+    So the distinct primes that fall short all divide one nonzero integer
+    of size at most H^phi(d).  Primes are used until the rank reaches the
+    number of nonzero rows or of columns, or their product exceeds
+    H^phi(d); the largest rank seen is then r.
     """
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
+    if not rows or not rows[0]:
         return 0
-    nrows, ncols = len(m), len(m[0])
-    prev = None
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not m[i][c].is_zero:
-                piv = i
-                break
-        if piv is None:
+    ncols = len(rows[0])
+    scaled = []  # nonzero rows as lists of (column, integer coefficients)
+    norms = 1  # product over rows of max(1, ||row||_2^2)
+    order = phi = None
+    for r in rows:
+        entries = [(j, x.coeffs) for j, x in enumerate(r) if x]
+        if not entries:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, nrows):
-            factor = m[i][c]
-            for j in range(c + 1, ncols):
-                val = pivot * m[i][j] - factor * m[r][j]
-                if prev is not None:
-                    val = val / prev
-                m[i][j] = val
-            m[i][c] = CycloNumber.zero(pivot.order)
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return r
+        den = lcm(*(c.denominator for _j, cs in entries for c in cs))
+        ints = [(j, tuple(c.numerator * (den // c.denominator) for c in cs)) for j, cs in entries]
+        scaled.append(ints)
+        norms *= sum(sum(map(abs, cs)) ** 2 for _j, cs in ints)
+        if order is None:
+            order, phi = r[entries[0][0]].order, len(entries[0][1])
+    if not scaled:
+        return 0
+    cap = min(len(scaled), ncols)
+    limit = norms**phi  # H^(2 phi)
+    best, product, k = 0, 1, 0
+    while best < cap and product * product <= limit:
+        p, w = rank_prime(order, k)
+        best = max(best, _rank_mod(scaled, p, w, phi, cap))
+        product *= p
+        k += 1
+    return best
 
 
 def rank_float(rows, tol: float = 1e-9) -> int:

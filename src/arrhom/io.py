@@ -21,7 +21,7 @@ from .errors import NormalizationFailed, ParseError, PencilNotCovered
 from .fox import oracle_h1
 from .geometry import Arrangement, Line
 from .homology import h1
-from .local_system import LocalSystem
+from .local_system import LocalSystem, resonant_points
 
 __all__ = [
     "build_report",
@@ -171,15 +171,16 @@ def build_report(
     narr = rep.arrangement
     sp = sharp_pair_report(arr, system, rep.h1)
     pencil = len(arr.points) <= 1
+    resonant = resonant_points(arr, system)
 
     per_line = []
     for lid in range(arr.n):
-        entry = {"line": lid, "cdo": cdo_bound(arr, system, lid)}
+        entry = {"line": lid, "cdo": cdo_bound(arr, resonant, lid)}
         if pencil:
             entry["r0"] = None
             entry["r0_note"] = "bound not applicable to pencils"
         else:
-            entry["r0"] = r0_bound(arr, system, lid)
+            entry["r0"] = r0_bound(arr, resonant, lid)
         per_line.append(entry)
     finite_bounds = [e["cdo"] for e in per_line] + [
         e["r0"] for e in per_line if e["r0"] is not None

@@ -116,11 +116,12 @@ def test_criterion_3_bound_suite(general_corpus, general_reports):
         arr, system = inst.arrangement, inst.system
         if len(arr.points) <= 1:
             continue
+        res = resonant_points(arr, system)
         for lid in range(arr.n):
             checked += 1
-            if rep.h1 > r0_bound(arr, system, lid):
+            if rep.h1 > r0_bound(arr, res, lid):
                 violations.append((i, lid, "r0"))
-            if rep.h1 > cdo_bound(arr, system, lid):
+            if rep.h1 > cdo_bound(arr, res, lid):
                 violations.append((i, lid, "cdo"))
     ok = not violations and checked > 0
     _report(3, ok, f"{checked} per-line bound checks, {len(violations)} violations")

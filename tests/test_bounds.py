@@ -5,22 +5,24 @@ from arrhom.errors import PencilNotCovered
 from arrhom.fuzz import corpus, sharp_corpus
 from arrhom.geometry import Arrangement, Line
 from arrhom.homology import h1
-from arrhom.local_system import LocalSystem
+from arrhom.local_system import LocalSystem, resonant_points
 from conftest import pencil
 
 
 def test_bounds_no_resonance(generic_triangle):
     ls = LocalSystem(order=3, exponents=[1, 1, 1])
+    res = resonant_points(generic_triangle, ls)
     for lid in range(3):
-        assert cdo_bound(generic_triangle, ls, lid) == 0
-        assert r0_bound(generic_triangle, ls, lid) == 0
+        assert cdo_bound(generic_triangle, res, lid) == 0
+        assert r0_bound(generic_triangle, res, lid) == 0
 
 
 def test_bounds_quadrilateral(quadrilateral, quadrilateral_system):
     # each line carries two resonant triple points
+    res = resonant_points(quadrilateral, quadrilateral_system)
     for lid in range(6):
-        assert cdo_bound(quadrilateral, quadrilateral_system, lid) == 2
-        assert r0_bound(quadrilateral, quadrilateral_system, lid) == 1
+        assert cdo_bound(quadrilateral, res, lid) == 2
+        assert r0_bound(quadrilateral, res, lid) == 1
     assert h1(quadrilateral, quadrilateral_system).h1 == 1  # the bound is sharp
 
 
@@ -33,8 +35,9 @@ def test_r0_bound_arithmetic():
     arr = Arrangement(lines)
     ls = LocalSystem(order=6, exponents=[3, 1, 2, 1, 2, 1, 2])
     assert ls.validate(arr).ok
-    assert r0_bound(arr, ls, 0) == 2
-    assert cdo_bound(arr, ls, 0) == 3
+    res = resonant_points(arr, ls)
+    assert r0_bound(arr, res, 0) == 2
+    assert cdo_bound(arr, res, 0) == 3
     assert h1(arr, ls).h1 <= 2
 
 
@@ -47,19 +50,20 @@ def test_quadruple_point_cdo():
     arr = Arrangement(lines)
     ls = LocalSystem(order=8, exponents=[1, 2, 2, 3, 3, 5])
     assert ls.validate(arr).ok
-    assert cdo_bound(arr, ls, 0) == 2  # 4 - 2 at the quadruple point
+    assert cdo_bound(arr, resonant_points(arr, ls), 0) == 2  # 4 - 2 at the quadruple point
     assert h1(arr, ls).h1 <= 2
 
 
 def test_pencil_not_covered():
     arr = pencil(4)
     ls = LocalSystem(order=4, exponents=[1, 1, 1, 1])
+    res = resonant_points(arr, ls)
     with pytest.raises(PencilNotCovered):
-        r0_bound(arr, ls, 0)
+        r0_bound(arr, res, 0)
     with pytest.raises(PencilNotCovered):
         beta_certificate(arr, ls, 0)
     # the sum bound still applies and is attained
-    assert cdo_bound(arr, ls, 0) == 2
+    assert cdo_bound(arr, res, 0) == 2
     assert h1(arr, ls).h1 == 2
 
 
@@ -88,10 +92,11 @@ def test_bounds_dominate_h1_on_fuzz():
     for i, inst in enumerate(insts):
         value = h1(inst.arrangement, inst.system, seed=i).h1
         pencil_case = len(inst.arrangement.points) <= 1
+        res = resonant_points(inst.arrangement, inst.system)
         for lid in range(inst.arrangement.n):
-            assert value <= cdo_bound(inst.arrangement, inst.system, lid)
+            assert value <= cdo_bound(inst.arrangement, res, lid)
             if not pencil_case:
-                assert value <= r0_bound(inst.arrangement, inst.system, lid)
+                assert value <= r0_bound(inst.arrangement, res, lid)
 
 
 def test_beta_certificates_on_fuzz():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrhom import cyclo
 from arrhom.cyclo import (
     CycloNumber,
     cyclotomic_polynomial,
@@ -13,6 +14,7 @@ from arrhom.cyclo import (
     rank,
     rank_exact,
     rank_float,
+    rank_prime,
     to_complex_matrix,
 )
 from arrhom.errors import ModeMismatch, OrderMismatch
@@ -160,26 +162,98 @@ def test_rank_repeated_row_invariance():
     assert rank(m + [m[3]]) == rank(m)
 
 
-def _random_matrix(rng, d, nrows, ncols):
+def _random_matrix(rng, d, nrows, ncols, bound=2):
     out = []
     for _ in range(nrows):
         row = []
         for _ in range(ncols):
             v = CycloNumber.zero(d)
             for k in range(euler_phi(d)):
-                v = v + CycloNumber.zeta(d, k) * rng.randint(-2, 2)
+                v = v + CycloNumber.zeta(d, k) * rng.randint(-bound, bound)
             row.append(v)
         out.append(row)
     return out
 
 
-@pytest.mark.parametrize("seed", range(6))
+RANK_ORDERS = (2, 3, 4, 5, 6, 7, 12)
+
+
+@pytest.mark.parametrize("seed", range(2 * len(RANK_ORDERS)))
 def test_rank_exact_matches_float(seed):
+    # every order once with small coefficients, then once with coefficients
+    # up to 10^6; odd seeds append rows that are sums of earlier rows
     rng = random.Random(seed)
-    d = rng.choice([2, 3, 4, 5, 6, 12])
+    d = RANK_ORDERS[seed % len(RANK_ORDERS)]
+    bound = 2 if seed < len(RANK_ORDERS) else 10**6
     nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
-    m = _random_matrix(rng, d, nrows, ncols)
+    m = _random_matrix(rng, d, nrows, ncols, bound)
+    if seed % 2:
+        m += [[a + b for a, b in zip(m[rng.randrange(nrows)], m[-1])] for _ in range(3)]
     assert rank_exact(m) == rank_float(to_complex_matrix(m))
+
+
+def _record_images(monkeypatch):
+    """Collect (p, rank mod p) for every modular image that rank_exact takes."""
+    images = []
+    real = cyclo._rank_mod
+
+    def recording(rows, p, w, phi, cap):
+        images.append((p, real(rows, p, w, phi, cap)))
+        return images[-1][1]
+
+    monkeypatch.setattr(cyclo, "_rank_mod", recording)
+    return images
+
+
+def test_rank_prime_sequence():
+    for d in (1, 2, 3, 7, 12, 1009):
+        seen = []
+        for k in range(4):
+            p, w = rank_prime(d, k)
+            assert p < 2**61 and (p - 1) % d == 0 and all(p % q for q in range(2, 1000) if q < p)
+            assert pow(w, d, p) == 1
+            assert all(pow(w, j, p) != 1 for j in range(1, d) if d % j == 0)
+            seen.append(p)
+        assert seen == sorted(seen, reverse=True) and len(set(seen)) == 4
+
+
+def test_rank_survives_an_unlucky_first_prime(monkeypatch):
+    # the entry P vanishes modulo the first prime, where the rank drops to 1
+    images = _record_images(monkeypatch)
+    P, _ = rank_prime(3, 0)
+    m = [[CycloNumber.from_rational(3, P), ZERO3], [ZERO3, ONE3]]
+    assert rank_exact(m) == 2
+    assert images == [(P, 1), (rank_prime(3, 1)[0], 2)]
+
+
+def test_rank_deficient_certification_uses_several_primes(monkeypatch):
+    # rank 2, and rank 1 modulo the first prime; no prime reaches 3 columns,
+    # so the answer stands only once the primes outweigh the norm bound
+    images = _record_images(monkeypatch)
+    P, _ = rank_prime(3, 0)
+    p_ = CycloNumber.from_rational(3, P)
+    m = [[p_, ZERO3, ZERO3], [ZERO3, W, ZERO3], [p_, W, ZERO3]]
+    assert rank_exact(m) == 2
+    assert images[0] == (P, 1) and len(images) > 2
+    # large entries over Q(zeta_12): a third row in the span of the first two
+    images.clear()
+    rng = random.Random(3)
+    a, b = _random_matrix(rng, 12, 2, 4, 10**6)
+    two, z = CycloNumber.from_rational(12, 2), CycloNumber.zeta(12, 5)
+    m = [a, b, [two * x + z * y for x, y in zip(a, b)]]
+    assert rank_exact(m) == 2 == rank_float(to_complex_matrix(m))
+    assert len(images) > 1
+
+
+def test_rank_scales_each_row_by_its_denominators():
+    z = CycloNumber.zeta(5)
+    half = CycloNumber.from_rational(5, Fraction(1, 2))
+    row = [half + z * Fraction(1, 3), CycloNumber.from_rational(5, Fraction(1, 5))]
+    m = [row, [x * 6 for x in row]]
+    assert rank_exact(m) == 1
+    m[1][1] = m[1][1] + Fraction(1, 7)
+    assert rank_exact(m) == 2
+    assert rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
 
 
 def test_rank_exact_matches_float_30x30():
