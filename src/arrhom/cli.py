@@ -45,7 +45,10 @@ def _read_instance(path: str):
 def _seed(args) -> int:
     env = os.environ.get("ARR_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ParseError(f"not an integer: {env!r}", "ARR_SEED") from None
     return args.seed
 
 
@@ -112,6 +115,8 @@ def _cmd_sharp_pairs(args) -> int:
 
 def _cmd_oracle(args) -> int:
     arr, system = _read_instance(args.input)
+    if not 0 <= args.line < arr.n:
+        raise ParseError(f"must be a line index in 0..{arr.n - 1}, got {args.line}", "--line")
     system.require_admissible(arr)
     value = oracle_h1(arr, system, args.line, seed=_seed(args))
     _emit({"oracle_h1": value, "decone_line": args.line})
@@ -147,7 +152,23 @@ def _fuzz_one(payload):
     return kind, seed_i, result.h1, result.violations
 
 
+def _check_fuzz_args(args) -> None:
+    """Reject option values the corpus generators cannot honour."""
+    fewest = 3 if args.sharp_only else 2  # a sharp pair needs a non-pencil
+    if args.trials < 0:
+        raise ParseError(f"must be at least 0, got {args.trials}", "--trials")
+    if args.lines and args.lines < fewest:
+        raise ParseError(f"must be 0 (any) or at least {fewest}, got {args.lines}", "--lines")
+    if not args.lines and args.max_lines < 3:
+        raise ParseError(f"must be at least 3, got {args.max_lines}", "--max-lines")
+    if args.order and args.order < 2:
+        raise ParseError(f"must be 0 (any) or at least 2, got {args.order}", "--order")
+    if args.order == 2 and not args.sharp_only and (not args.lines or args.lines % 2):
+        raise ParseError("order 2 needs an even --lines", "--order")
+
+
 def _cmd_fuzz(args) -> int:
+    _check_fuzz_args(args)
     seed = _seed(args)
     if args.trials == 0:
         _emit({"trials": 0, "violations": 0})

@@ -8,6 +8,14 @@ affine.  Normalization is a seeded search over rational projective maps with
 full verification of the target assumption profile, so failures are loud and
 reproducible rather than silent.
 
+Every frame is a projective image of the input, and the input's points are
+intersected once.  :func:`transform` scales the map to an integer matrix N,
+sends each line l to l adj(N) and each intersection point P to N P with its
+line ids, since incidence is projectively invariant.  An incidence-signature
+comparison would then hold by construction, so each mapped figure is checked
+instead by integer evaluation: every mapped point lies on exactly its own
+lines, and no two mapped points coincide; a failure raises InvariantError.
+
 Chambers of a normalized arrangement come from one walk over the faces of
 the planar figure.  The points sorted along each line give its segments and
 its two rays, and the lines at each point are already slope-sorted, so the
@@ -23,9 +31,15 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .errors import DuplicateLine, NormalizationFailed, NotAdjacent, NotNormalized
+from .errors import (
+    DuplicateLine,
+    InvariantError,
+    NormalizationFailed,
+    NotAdjacent,
+    NotNormalized,
+)
 
 __all__ = [
     "Arrangement",
@@ -55,14 +69,15 @@ def _sign(x) -> int:
 
 def _canonical_triple(a, b, c):
     """Scale a rational triple to a primitive integer one, first nonzero > 0."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if a == b == c == 0:
+    if type(a) is int and type(b) is int and type(c) is int:
+        ia, ib, ic = a, b, c
+    else:
+        a, b, c = Fraction(a), Fraction(b), Fraction(c)
+        denom = lcm(a.denominator, b.denominator, c.denominator)
+        ia, ib, ic = int(a * denom), int(b * denom), int(c * denom)
+    g = gcd(ia, ib, ic)
+    if g == 0:
         raise ValueError("zero triple")
-    denom = 1
-    for q in (a, b, c):
-        denom = denom * q.denominator // gcd(denom, q.denominator)
-    ia, ib, ic = int(a * denom), int(b * denom), int(c * denom)
-    g = gcd(gcd(abs(ia), abs(ib)), abs(ic))
     ia, ib, ic = ia // g, ib // g, ic // g
     lead = ia if ia else (ib if ib else ic)
     if lead < 0:
@@ -107,8 +122,8 @@ class Line:
         """The defining form y - slope*x - intercept (non-vertical lines)."""
         return Fraction(y) - self.slope * Fraction(x) - self.intercept
 
-    def hom_eval(self, X, Y, Z) -> Fraction:
-        return self.a * Fraction(X) + self.b * Fraction(Y) + self.c * Fraction(Z)
+    def hom_eval(self, X, Y, Z):
+        return self.a * X + self.b * Y + self.c * Z
 
     def __repr__(self):
         return f"Line({self.a}x{self.b:+}y{self.c:+}z=0)"
@@ -146,6 +161,27 @@ def _cross(l1: Line, l2: Line):
     return (X, Y, Z)
 
 
+def _indexed(groups) -> list:
+    """Intersection points from (coords, line ids) pairs, in key order.
+
+    Affine points come first by (x, y), then points at infinity by their
+    primitive (X, Y).  With D the lcm of the affine |Z|, the integers
+    D (x, y) order the affine points exactly.
+    """
+    groups = list(groups)
+    D = 1
+    for (_X, _Y, Z), _ids in groups:
+        if Z:
+            D = lcm(D, Z)
+
+    def key(group):
+        X, Y, Z = group[0]
+        return (0, X * (D // Z), Y * (D // Z)) if Z else (1, X, Y)
+
+    ordered = sorted(groups, key=key)
+    return [IntersectionPoint(idx, coords, tuple(sorted(ids))) for idx, (coords, ids) in enumerate(ordered)]
+
+
 def intersections(lines) -> list:
     """All pairwise intersection points with coincidences merged.
 
@@ -158,27 +194,25 @@ def intersections(lines) -> list:
     for i, j in itertools.combinations(range(len(lines)), 2):
         key = _canonical_triple(*_cross(lines[i], lines[j]))
         groups.setdefault(key, set()).update((i, j))
-    def sort_key(item):
-        (X, Y, Z), _ = item
-        if Z != 0:
-            return (0, Fraction(X, Z), Fraction(Y, Z))
-        return (1, Fraction(X), Fraction(Y))
-    out = []
-    for idx, (coords, ids) in enumerate(sorted(groups.items(), key=sort_key)):
-        out.append(IntersectionPoint(idx, coords, tuple(sorted(ids))))
-    return out
+    return _indexed(groups.items())
 
 
 class Arrangement:
-    """An ordered list of distinct lines with derived intersection data."""
+    """An ordered list of distinct lines with derived intersection data.
 
-    def __init__(self, lines):
+    ``points``, when given, are the intersection points already known (a
+    projective image maps them, see :func:`transform`); otherwise they are
+    computed from the lines on first use.
+    """
+
+    def __init__(self, lines, points=None):
         lines = tuple(lines)
         if len(set(lines)) != len(lines):
             raise DuplicateLine("arrangement lines must be pairwise distinct")
         if not lines:
             raise ValueError("arrangement needs at least one line")
         self.lines = lines
+        self._given_points = points
         self._points = None
         self._normalized = None
 
@@ -189,14 +223,13 @@ class Arrangement:
     @property
     def points(self):
         if self._points is None:
-            pts = intersections(self.lines)
+            pts = self._given_points
+            if pts is None:
+                pts = intersections(self.lines)
             if self._compute_normalized(pts):
+                slopes = [l.slope for l in self.lines]
                 pts = [
-                    IntersectionPoint(
-                        p.index,
-                        p.coords,
-                        tuple(sorted(p.line_ids, key=lambda i: self.lines[i].slope)),
-                    )
+                    IntersectionPoint(p.index, p.coords, tuple(sorted(p.line_ids, key=slopes.__getitem__)))
                     for p in pts
                 ]
             self._points = pts
@@ -251,9 +284,16 @@ def mat_identity():
     return tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
 
 
+def _integer_matrix(A):
+    """(N, den) with N = den A an integer matrix, den the lcm of A's denominators."""
+    den = lcm(*(q.denominator for row in A for q in row))
+    return tuple(tuple(q.numerator * (den // q.denominator) for q in row) for row in A), den
+
+
 def mat_mul(A, B):
+    (NA, da), (NB, db) = _integer_matrix(A), _integer_matrix(B)
     return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3))
+        tuple(Fraction(sum(NA[i][k] * NB[k][j] for k in range(3)), da * db) for j in range(3))
         for i in range(3)
     )
 
@@ -266,37 +306,70 @@ def mat_det(A):
     )
 
 
+def _adjugate(A):
+    """adj(A) = det(A) A^{-1}, by cyclic cofactors."""
+    return tuple(
+        tuple(
+            A[(j + 1) % 3][(i + 1) % 3] * A[(j + 2) % 3][(i + 2) % 3]
+            - A[(j + 1) % 3][(i + 2) % 3] * A[(j + 2) % 3][(i + 1) % 3]
+            for j in range(3)
+        )
+        for i in range(3)
+    )
+
+
 def mat_inverse(A):
     d = mat_det(A)
     if d == 0:
         raise ValueError("singular transformation")
-    cof = [
-        [
-            (A[(i + 1) % 3][(j + 1) % 3] * A[(i + 2) % 3][(j + 2) % 3]
-             - A[(i + 1) % 3][(j + 2) % 3] * A[(i + 2) % 3][(j + 1) % 3])
-            for i in range(3)
-        ]
-        for j in range(3)
-    ]
-    return tuple(tuple(Fraction(cof[i][j], 1) / d for j in range(3)) for i in range(3))
+    return tuple(tuple(Fraction(v) / d for v in row) for row in _adjugate(A))
 
 
 def mat_apply_point(A, P):
     return tuple(sum(A[i][k] * Fraction(P[k]) for k in range(3)) for i in range(3))
 
 
-def transform_line(line: Line, M_inv) -> Line:
-    row = [
-        line.a * M_inv[0][j] + line.b * M_inv[1][j] + line.c * M_inv[2][j]
-        for j in range(3)
-    ]
-    return Line.from_coeffs(*row)
+def _map_point(N, P):
+    """N P for an integer matrix N, as a primitive projective triple."""
+    return _canonical_triple(*(N[i][0] * P[0] + N[i][1] * P[1] + N[i][2] * P[2] for i in range(3)))
+
+
+def _check_mapped(lines, points):
+    """Each mapped point lies on exactly its own lines, and no two coincide.
+
+    Integer evaluation of every line at every point; a failure is a fault in
+    the frame change, not in the input.
+    """
+    for p in points:
+        on = tuple(i for i, l in enumerate(lines) if l.hom_eval(*p.coords) == 0)
+        if on != p.line_ids:
+            raise InvariantError(
+                f"mapped point {p.coords} lies on lines {list(on)}, not {list(p.line_ids)}"
+            )
+    if len({p.coords for p in points}) != len(points):
+        raise InvariantError("two mapped intersection points coincide")
 
 
 def transform(arr: Arrangement, M) -> Arrangement:
-    """Apply the point map v -> M v; line covectors map by M^{-1} on the right."""
-    M_inv = mat_inverse(M)
-    return Arrangement(transform_line(l, M_inv) for l in arr.lines)
+    """Apply the point map v -> M v; line covectors map by M^{-1} on the right.
+
+    M is scaled by the lcm of its denominators to an integer matrix N.  Lines
+    map to l adj(N), which is l M^{-1} up to scale, and the arrangement's
+    points map to N P with their line ids, since incidence is projectively
+    invariant; nothing is intersected again.  :func:`_check_mapped` verifies
+    the mapped figure.
+    """
+    N, _den = _integer_matrix(M)
+    if mat_det(N) == 0:
+        raise ValueError("singular transformation")
+    adj = _adjugate(N)
+    lines = tuple(
+        Line(*_canonical_triple(*(l.a * adj[0][j] + l.b * adj[1][j] + l.c * adj[2][j] for j in range(3))))
+        for l in arr.lines
+    )
+    points = _indexed((_map_point(N, p.coords), p.line_ids) for p in arr.points)
+    _check_mapped(lines, points)
+    return Arrangement(lines, points)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +463,6 @@ def _normalize_basic(arr: Arrangement, rng: random.Random, retries: int = 64):
                 (Fraction(0), Fraction(1), Fraction(0)),
                 (Fraction(u), Fraction(v), Fraction(1)),
             )
-        arr1 = transform(arr, M1)
         for t_try in range(6):
             if t_try == 0:
                 t = Fraction(0)
@@ -636,7 +708,8 @@ def normalize(arr: Arrangement, profile=Basic(), seed: int = 0):
     """Return an equivalent arrangement satisfying the requested profile.
 
     The returned record holds the exact 3x3 rational point map, the seed and
-    the profile, and allows exact inverse mapping.  Incidences are preserved;
+    the profile, and allows exact inverse mapping.  Incidences are preserved,
+    since every frame maps the input's points (checked in :func:`transform`);
     line indices are unchanged.
     """
     rng = random.Random(seed)
@@ -652,8 +725,6 @@ def normalize(arr: Arrangement, profile=Basic(), seed: int = 0):
             name = f"adapted(l0={profile.l0},l0'={profile.l0_prime})"
     else:
         raise TypeError(f"unknown profile {profile!r}")
-    if incidence_signature(out) != incidence_signature(arr):
-        raise NormalizationFailed("normalization changed the incidence poset")
     return out, NormalizationRecord(M, seed, name)
 
 
@@ -690,6 +761,11 @@ class Chamber:
         return self.corners[self.vertex_ids.index(point_id)]
 
 
+def _upper(coords) -> tuple:
+    """The homogeneous coordinates of an affine point, scaled to Z > 0."""
+    return coords if coords[2] > 0 else tuple(-v for v in coords)
+
+
 def _sector(slot: int, k: int) -> tuple:
     """(angle, side) of the sector from ccw slot ``slot`` to the next one.
 
@@ -721,8 +797,8 @@ def chambers(arr: Arrangement) -> list:
     if not arr.is_normalized:
         raise NotNormalized("chamber enumeration needs a normalized arrangement")
     n = arr.n
-    slopes = [l.slope for l in arr.lines]
-    intercepts = [l.intercept for l in arr.lines]
+    lines = arr.lines
+    slopes = [l.slope for l in lines]
     by_slope = sorted(range(n), key=slopes.__getitem__)
     slope_rank = {i: r for r, i in enumerate(by_slope)}
     on_line = [[] for _ in range(n)]  # x-sorted, as arr.points is
@@ -731,7 +807,8 @@ def chambers(arr: Arrangement) -> list:
         for i in p.line_ids:
             place[i, p.index] = len(on_line[i])
             on_line[i].append(p)
-    x_rank = {x: r for r, x in enumerate(sorted({p.x for p in arr.points}))}
+    xs = [p.x for p in arr.points]  # ascending, so the leftmost point has the least id
+    x_rank = list(itertools.accumulate(int(a != b) for a, b in zip(xs, xs[:1] + xs)))
 
     def step(he):
         """The next half-edge of the face, and (vertex, slot) where it starts."""
@@ -749,17 +826,25 @@ def chambers(arr: Arrangement) -> list:
         return ((j, pos + 1, 1) if slot < k else (j, pos, -1)), (p, slot)
 
     def signs_at(he):
-        """Line signs of the face on the left of a half-edge, read on it."""
+        """Line signs of the face on the left of a half-edge, read on it.
+
+        The side of line j at an affine point (X : Y : Z) with Z > 0 is
+        sign(a_j X + b_j Y + c_j Z) sign(b_j).  A segment PQ is read at
+        |Z_Q| P + |Z_P| Q, its midpoint; a ray from P at P +- Z_P (b_i, -a_i, 0).
+        """
         i, s, d = he
         pts = on_line[i]
         if 0 < s < len(pts):
-            x = (pts[s - 1].x + pts[s].x) / 2
+            P, Q = _upper(pts[s - 1].coords), _upper(pts[s].coords)
+            at = tuple(Q[2] * u + P[2] * v for u, v in zip(P, Q))
         elif pts:
-            x = pts[0].x - 1 if s == 0 else pts[-1].x + 1
-        else:
-            x = Fraction(0)
-        y = slopes[i] * x + intercepts[i]
-        return tuple(d if j == i else _sign(y - slopes[j] * x - intercepts[j]) for j in range(n))
+            li = lines[i]
+            P = _upper(pts[0].coords if s == 0 else pts[-1].coords)
+            t = P[2] * (-1 if s == 0 else 1) * _sign(li.b)
+            at = (P[0] + t * li.b, P[1] - t * li.a, P[2])
+        else:  # a lone line: its point at x = 0
+            at = _upper((0, -lines[i].c, lines[i].b))
+        return tuple(d if j == i else _sign(l.hom_eval(*at)) * _sign(l.b) for j, l in enumerate(lines))
 
     seen = set()
     faces = []
@@ -778,7 +863,7 @@ def chambers(arr: Arrangement) -> list:
                 ends = [end for _he, end in walk]
                 bounded = None not in ends
                 if bounded:  # start with the half-edge into the leftmost vertex
-                    first = min(range(len(ends)), key=lambda a: ends[a][0].x)
+                    first = min(range(len(ends)), key=lambda a: ends[a][0].index)
                 else:  # start with the half-edge from infinity
                     first = (ends.index(None) + 1) % len(ends)
                 walk = walk[first:] + walk[:first]
@@ -787,7 +872,7 @@ def chambers(arr: Arrangement) -> list:
                 if any(seg == 0 for (_i, seg, _d), _end in walk):
                     slab = 0  # the face meets the leftmost slab
                 else:
-                    slab = 1 + x_rank[min(p.x for p, _slot in ends)]
+                    slab = 1 + x_rank[min(p.index for p, _slot in ends)]
                 faces.append((
                     (slab, signs.count(1)),
                     signs,

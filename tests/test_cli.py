@@ -217,6 +217,31 @@ def test_env_seed_override(a3_file, capsys, monkeypatch):
     assert json.loads(out)["normalization"]["seed"] == 9
 
 
+@pytest.mark.parametrize(
+    "env_seed, argv, option",
+    [
+        ("abc", ("h1", "{a3}", "--no-oracle"), "ARR_SEED"),
+        (None, ("oracle", "{a3}", "--line", "99"), "--line"),
+        (None, ("oracle", "{a3}", "--line", "-1"), "--line"),
+        (None, ("fuzz", "--lines", "1"), "--lines"),
+        (None, ("fuzz", "--lines", "2", "--sharp-only"), "--lines"),
+        (None, ("fuzz", "--max-lines", "2"), "--max-lines"),
+        (None, ("fuzz", "--order", "1"), "--order"),
+        (None, ("fuzz", "--order", "2", "--lines", "3"), "--order"),
+        (None, ("fuzz", "--trials", "-1"), "--trials"),
+    ],
+)
+def test_bad_option_values_exit_1(a3_file, capsys, monkeypatch, tmp_path, env_seed, argv, option):
+    # each used to end in a traceback, a hang or a misleading exit code
+    monkeypatch.chdir(tmp_path)
+    if env_seed is not None:
+        monkeypatch.setenv("ARR_SEED", env_seed)
+    code, out, err = _run(capsys, *(a.format(a3=a3_file) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert option in err
+
+
 def test_float_values_file(tmp_path, capsys):
     import cmath
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrhom.errors import DuplicateLine, NotNormalized
+from arrhom.errors import DuplicateLine, NormalizationFailed, NotNormalized
 from arrhom.fuzz import corpus, sharp_corpus
 from arrhom.geometry import (
     Arrangement,
@@ -19,6 +20,7 @@ from arrhom.geometry import (
     incidence_signature,
     intersections,
     mat_identity,
+    mat_det,
     mat_inverse,
     mat_mul,
     normalize,
@@ -121,6 +123,74 @@ def test_normalize_random_projective_images(quadrilateral, seed):
     out, _rec = normalize(moved, Basic(), seed=seed)
     assert out.is_normalized
     assert incidence_signature(out) == incidence_signature(quadrilateral)
+
+
+def _reintersect(lines):
+    """(index, coords, line ids) of every point, by intersecting all pairs.
+
+    This is how frames were built before they mapped the input's points; it
+    is kept as the oracle for the mapped points.
+    """
+    groups = {}
+    for i, j in itertools.combinations(range(len(lines)), 2):
+        li, lj = lines[i], lines[j]
+        v = (li.b * lj.c - li.c * lj.b, li.c * lj.a - li.a * lj.c, li.a * lj.b - li.b * lj.a)
+        g = math.gcd(*v)
+        v = tuple(x // g for x in v)
+        if next(x for x in v if x) < 0:
+            v = tuple(-x for x in v)
+        groups.setdefault(v, set()).update((i, j))
+
+    def key(coords):
+        X, Y, Z = coords
+        return (0, Fraction(X, Z), Fraction(Y, Z)) if Z else (1, Fraction(X), Fraction(Y))
+
+    normalized = (
+        all(l.b for l in lines)
+        and len({l.slope for l in lines}) == len(lines)
+        and all(c[2] for c in groups)
+    )
+    by = (lambda i: lines[i].slope) if normalized else None
+    return [
+        (idx, coords, tuple(sorted(groups[coords], key=by)))
+        for idx, coords in enumerate(sorted(groups, key=key))
+    ]
+
+
+def _frames(arr, seed):
+    """The input, a random projective image and the frames normalize builds."""
+    rng = random.Random(seed)
+    yield arr
+    while True:
+        M = tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)) for _ in range(3))
+        if mat_det(M) != 0:
+            yield transform(arr, M)
+            break
+    yield normalize(arr, Basic(), seed)[0]
+    profiles = [SharpPairAdapted(seed % arr.n)]
+    pairs = sharp_pairs(arr)
+    if pairs:
+        profiles.append(SharpPairAdapted(*pairs[seed % len(pairs)]))
+    for profile in profiles:
+        try:
+            out, _rec = normalize(arr, profile, seed)
+        except NormalizationFailed:  # not every sharp pair has an adapted frame
+            continue
+        yield out
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: corpus(20240810, 100), lambda: corpus(7, 100), lambda: sharp_corpus(3, 100)],
+    ids=["corpus-20240810", "corpus-7", "sharp-corpus-3"],
+)
+def test_mapped_points_match_reintersection(make):
+    frames = 0
+    for k, inst in enumerate(make()):
+        for arr in _frames(inst.arrangement, k):
+            got = [(p.index, p.coords, p.line_ids) for p in arr.points]
+            assert got == _reintersect(arr.lines), (k, arr.lines)
+            frames += 1
+    assert frames >= 400
 
 
 def test_chambers_three_generic(generic_triangle):

@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import arrhom
-from arrhom import bounds, cyclo, fox
+from arrhom import bounds, cyclo, fox, geometry
 from arrhom.cli import main
 from arrhom.errors import ArrhomError, InvariantError
-from arrhom.geometry import Basic, normalize
+from arrhom.geometry import Basic, IntersectionPoint, normalize
 from arrhom.homology import angle_basis, point_rows
 from arrhom.local_system import LocalSystem, ResonantSet
 
@@ -99,6 +99,36 @@ def test_cyclotomic_polynomial_checks_exact_division(monkeypatch):
     monkeypatch.setattr(cyclo, "_poly_divmod", lambda num, den: ([1], [1]))
     with pytest.raises(InvariantError, match="not divisible"):
         cyclo.cyclotomic_polynomial.__wrapped__(12)
+
+
+def _perturb_mapped_point(monkeypatch, which):
+    """Shift the image of the ``which``-th point a frame change maps."""
+    real = geometry._map_point
+    mapped = []
+
+    def faulty(N, P):
+        X, Y, Z = real(N, P)
+        mapped.append(P)
+        return (X + 1, Y, Z) if len(mapped) == which + 1 else (X, Y, Z)
+
+    monkeypatch.setattr(geometry, "_map_point", faulty)
+
+
+@pytest.mark.parametrize("which", [0, 3, 6])
+def test_transform_checks_each_mapped_point_lies_on_its_lines(quadrilateral, monkeypatch, which):
+    # the quadrilateral has points at infinity, so its basic frame is a real
+    # projective change that maps all seven points
+    _perturb_mapped_point(monkeypatch, which)
+    with pytest.raises(InvariantError, match="mapped point .* lies on lines"):
+        normalize(quadrilateral, Basic(), 0)
+
+
+def test_transform_checks_mapped_points_are_distinct(quadrilateral):
+    pts = quadrilateral.points
+    geometry._check_mapped(quadrilateral.lines, pts)
+    twice = pts + [IntersectionPoint(len(pts), pts[0].coords, pts[0].line_ids)]
+    with pytest.raises(InvariantError, match="coincide"):
+        geometry._check_mapped(quadrilateral.lines, twice)
 
 
 def test_invariant_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,8 @@
 """How often one report or one trial runs each expensive step.
 
 h1, the chambers, the resonant set and the sharp pairs are computed once per
-frame and handed to the checks.  Each counted function is wrapped wherever
+frame and handed to the checks, and the intersection points once per input:
+every other frame maps them.  Each counted function is wrapped wherever
 its object is bound (``from .geometry import chambers`` copies the binding
 into the importing module), so calls from every module are seen.
 """
@@ -23,6 +24,7 @@ TRACKED = {
     "chambers": (geometry, "chambers"),
     "normalize": (geometry, "normalize"),
     "sharp_pairs": (geometry, "sharp_pairs"),
+    "intersections": (geometry, "intersections"),
 }
 
 
@@ -60,7 +62,7 @@ def quad_file(tmp_path):
 
 def test_one_report_computes_each_fact_once(calls, quad_file, capsys):
     assert main(["h1", quad_file, "--no-oracle"]) == 0
-    assert calls == {"h1": 1, "chambers": 1, "normalize": 1, "sharp_pairs": 1}
+    assert calls == {"h1": 1, "chambers": 1, "normalize": 1, "sharp_pairs": 1, "intersections": 1}
 
 
 def test_certificates_add_one_chamber_walk_each(calls, quad_file, capsys):
@@ -70,6 +72,7 @@ def test_certificates_add_one_chamber_walk_each(calls, quad_file, capsys):
     assert built > 0
     assert calls["h1"] == 1
     assert calls["chambers"] == 1 + built
+    assert calls["intersections"] == 1  # the input's; each frame maps its points
 
 
 def test_trial_runs_h1_once_per_frame(calls, quadrilateral_system, monkeypatch):
@@ -87,3 +90,13 @@ def test_trial_runs_h1_once_per_frame(calls, quadrilateral_system, monkeypatch):
     assert result.ok, result.violations
     assert calls["h1"] == 3  # exact, float, one reseeded frame
     assert walks_in_sector_sums == [0]
+    assert calls["intersections"] == 1
+
+
+def test_trials_intersect_each_input_once(calls):
+    insts = fuzz.corpus(20240810, 12, n_range=(3, 6))
+    calls.clear()
+    for i, inst in enumerate(insts):
+        arr = Arrangement(inst.arrangement.lines)
+        run_trial(arr, inst.system, seed=i, all_decones=arr.n <= 5, with_certificate=True, extra_seeds=1)
+    assert calls["intersections"] == len(insts)
