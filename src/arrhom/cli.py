@@ -17,6 +17,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+from .cyclo import MAX_ORDER
 from .errors import (
     ArrhomError,
     NotALocalSystem,
@@ -161,8 +162,8 @@ def _check_fuzz_args(args) -> None:
         raise ParseError(f"must be 0 (any) or at least {fewest}, got {args.lines}", "--lines")
     if not args.lines and args.max_lines < 3:
         raise ParseError(f"must be at least 3, got {args.max_lines}", "--max-lines")
-    if args.order and args.order < 2:
-        raise ParseError(f"must be 0 (any) or at least 2, got {args.order}", "--order")
+    if args.order and not 2 <= args.order <= MAX_ORDER:
+        raise ParseError(f"must be 0 (any) or from 2 to {MAX_ORDER}, got {args.order}", "--order")
     if args.order == 2 and not args.sharp_only and (not args.lines or args.lines % 2):
         raise ParseError("order 2 needs an even --lines", "--order")
 

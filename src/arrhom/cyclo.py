@@ -1,19 +1,32 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_d), plus matrix rank.
 
-Elements are stored in the power basis 1, zeta, ..., zeta^{phi(d)-1} modulo
-the d-th cyclotomic polynomial, with arbitrary-precision rational
-coefficients.
+An element is stored as a sparse map from exponents k mod d to nonzero
+coefficients, the combination sum c_k zeta^k.  Coefficients are ints, or
+``Fraction`` where one was given.  Every exact quantity of the program is
+such a combination with few terms: monodromies, partial products, point and
+chamber rows, Fox derivatives and beta vectors.  So the ring operations
+never touch the power basis: a sum merges two maps and a product convolves
+their exponents mod d, which is a shift when one factor is a monomial.
+
+The map is not a canonical form (for d = 3, 1 + zeta + zeta^2 = 0).  The
+power-basis coefficients modulo Phi_d are computed only when equality,
+hashing, printing, ``coeffs``, a non-monomial inverse or the zero test of
+a map with three or more terms needs them, and are then cached on the
+element.  Monomials need no reduction: c zeta^a = c' zeta^b exactly when
+a = b and c = c', or when d is even, b = a + d/2 and c = -c'.
 
 Exact rank is computed from modular images, not over Q(zeta_d) itself.
 Scaling each row by the lcm of its coefficient denominators puts every
 entry in Z[zeta_d] without changing the rank r.  For a prime p = 1 (mod d)
 and a primitive d-th root w mod p, zeta -> w is a ring map Z[zeta_d] -> F_p,
 so the rank mod p never exceeds r, and it falls short only when p divides
-the norm N(Delta) of a fixed nonzero r x r minor Delta.  Hadamard's
-inequality in every complex embedding bounds |N(Delta)| by H^phi(d), where
-H is the product of the row norms (each entry counted as the l1-norm of its
-coefficients).  Once the distinct primes used multiply to more than
-H^phi(d), one of them reached r, so the largest rank seen is exact.
+the norm N(Delta) of a fixed nonzero r x r minor Delta.  Every complex
+embedding sends zeta^k to a number of modulus 1, so it sends an entry to a
+number of modulus at most the l1 norm of its map, and Hadamard's inequality
+bounds |N(Delta)| by H^phi(d), where H is the product of the row norms with
+each entry counted as that l1 norm.  Once the distinct primes used multiply
+to more than H^phi(d), one of them reached r, so the largest rank seen is
+exact.
 
 A floating-point fallback exists for monodromy values that are not roots of
 unity: matrices of plain ``complex`` numbers are eliminated with partial
@@ -26,12 +39,13 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational as _Rational
 
 from .errors import InvariantError, ModeMismatch, OrderMismatch
 
 __all__ = [
+    "MAX_ORDER",
     "CycloNumber",
     "cyclotomic_polynomial",
     "euler_phi",
@@ -41,6 +55,14 @@ __all__ = [
     "rank_prime",
     "to_complex_matrix",
 ]
+
+# Largest accepted order d.  A rank below its cap is certified with about
+# phi(d) * log2(H) / 120 primes, so a report with h1 > 0 takes time in
+# proportion to phi(d); and values zeta^k with small k/d lie so close to 1
+# that the float cross-check can lose the rank.  The complete quadrilateral
+# with h1 = 1 takes 2.8 s at order 16381 and passes every check; at 32749
+# its float cross-check fails (README, "Guarantees and limits").
+MAX_ORDER = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -100,53 +122,160 @@ def cyclotomic_polynomial(d: int) -> tuple:
     return tuple(quot)
 
 
+@lru_cache(maxsize=None)
+def _prime_factors(n: int) -> tuple:
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
 def euler_phi(d: int) -> int:
-    return len(cyclotomic_polynomial(d)) - 1
+    """phi(d) = d * prod(1 - 1/q) over the primes q dividing d."""
+    if d < 1:
+        raise ValueError("order must be a positive integer")
+    out = d
+    for q in _prime_factors(d):
+        out = out // q * (q - 1)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(d):
-    """x^(phi+k) mod Phi_d for k = 0..phi-2, as integer coefficient tuples."""
-    phi_poly = cyclotomic_polynomial(d)
-    deg = len(phi_poly) - 1
-    rows = []
-    cur = [-c for c in phi_poly[:-1]]  # x^deg = -(c_0 + ... + c_{deg-1} x^{deg-1})
-    for _ in range(max(0, deg - 1)):
-        rows.append(tuple(cur))
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            base = rows[0]
-            cur = [c + top * b for c, b in zip(cur, base)]
-    return tuple(rows)
+def _binomials(d):
+    """Exponents a with (x^d - 1)/Phi_d = prod (x^a - 1) over ``up`` / prod over ``down``.
+
+    Phi_d is the product of (x^(d/e) - 1)^mu(e) over the squarefree divisors
+    e of d; the factor e = 1 is x^d - 1 itself.
+    """
+    primes = _prime_factors(d)
+    up, down = [], []
+    for mask in range(1, 1 << len(primes)):
+        e = 1
+        for i, q in enumerate(primes):
+            if mask >> i & 1:
+                e *= q
+        (up if bin(mask).count("1") % 2 else down).append(d // e)
+    return tuple(up), tuple(down)
 
 
-def _reduce_mod_phi(d, conv):
-    """Reduce a coefficient list of length <= 2*phi-1 modulo Phi_d."""
-    deg = euler_phi(d)
-    out = list(conv[:deg]) + [Fraction(0)] * max(0, deg - len(conv))
-    rows = _reduction_rows(d)
-    for k, c in enumerate(conv[deg:]):
-        if c:
-            row = rows[k]
-            for j in range(deg):
-                if row[j]:
-                    out[j] += c * row[j]
+def _times_binomial(f, a):
+    """f * (x^a - 1)."""
+    out = [0] * a + f
+    for i, c in enumerate(f):
+        out[i] -= c
+    return out
+
+
+def _over_binomial(f, a):
+    """f / (x^a - 1), which must be exact."""
+    n = len(f) - a
+    q = [0] * max(n, 0)
+    for i in range(n):
+        q[i] = (q[i - a] if i >= a else 0) - f[i]
+    for i in range(max(n, 0), len(f)):
+        if f[i] != (q[i - a] if 0 <= i - a < n else 0):
+            raise InvariantError(f"x^{a} - 1 does not divide the polynomial")
+    return q
+
+
+def _power_basis(d, terms) -> tuple:
+    """The coefficients of sum c_k x^k modulo Phi_d, as a tuple of length phi(d).
+
+    With B = (x^d - 1)/Phi_d and f = q Phi_d + r, f B = q (x^d - 1) + r B and
+    deg(r B) < d, so folding f B modulo x^d - 1 leaves r B, and dividing by B
+    leaves r.  B is a ratio of binomials x^a - 1, so each step is O(d).
+    """
+    phi = euler_phi(d)
+    if all(k < phi for k in terms):
+        out = [0] * phi
+        for k, c in terms.items():
+            out[k] = c
+        return tuple(out)
+    up, down = _binomials(d)
+    f = [0] * d
+    for k, c in terms.items():
+        f[k] = c
+    for a in up:
+        f = _times_binomial(f, a)
+    for a in down:
+        f = _over_binomial(f, a)
+    folded = f[:d]
+    for i in range(d, len(f)):
+        folded[i - d] += f[i]
+    for a in down:
+        folded = _times_binomial(folded, a)
+    for a in up:
+        folded = _over_binomial(folded, a)
+    return tuple(folded)
+
+
+@lru_cache(maxsize=None)
+def _horner_chain(d: int) -> tuple:
+    """Horner values of zeta_d^k for k < phi(d): v_0 = 1, v_(k+1) = v_k z + 0."""
+    z = cmath.exp(2j * cmath.pi / d)
+    out = [1 + 0j]
+    for _ in range(1, euler_phi(d)):
+        out.append(out[-1] * z + 0j)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _unit(d: int, k: int) -> complex:
+    """zeta_d^k as a complex number, bit for bit the Horner evaluation of its
+    power-basis coefficients at e^(2 pi i/d).
+
+    For k < phi(d) the coefficients are a single 1 at k: Horner multiplies 1
+    by z k times, adding 0 each time.  Larger k are reduced first.
+    """
+    if k < euler_phi(d):
+        return _horner_chain(d)[k]
+    z = cmath.exp(2j * cmath.pi / d)
+    out = 0j
+    for c in reversed(_power_basis(d, {k: 1})):
+        out = out * z + complex(c)
+    return out
+
+
+def _coefficient(c):
+    """An int stays an int; any other rational becomes a Fraction."""
+    return c if type(c) is int or isinstance(c, Fraction) else Fraction(c)
+
+
+_set = object.__setattr__
+
+
+def _make(order, terms):
+    """A CycloNumber from a map that has no zero coefficient."""
+    out = object.__new__(CycloNumber)
+    _set(out, "order", order)
+    _set(out, "terms", terms)
+    _set(out, "_basis", None)
     return out
 
 
 class CycloNumber:
-    """An element of Q(zeta_d), reduced in the power basis mod Phi_d."""
+    """An element of Q(zeta_d): a sparse map from exponents mod d to coefficients.
 
-    __slots__ = ("order", "coeffs")
+    ``terms`` must not be mutated; ``coeffs`` is the reduced power basis.
+    """
+
+    __slots__ = ("order", "terms", "_basis")
 
     def __init__(self, order, coeffs):
+        """The element with power-basis coefficients ``coeffs`` (phi(d) of them)."""
         deg = euler_phi(order)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(_coefficient(c) for c in coeffs)
         if len(coeffs) != deg:
             raise ValueError(f"need {deg} coefficients for order {order}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        _set(self, "order", order)
+        _set(self, "terms", {k: c for k, c in enumerate(coeffs) if c})
+        _set(self, "_basis", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloNumber is immutable")
@@ -155,31 +284,34 @@ class CycloNumber:
 
     @classmethod
     def zero(cls, order):
-        return cls(order, (Fraction(0),) * euler_phi(order))
+        return _make(order, {})
 
     @classmethod
     def one(cls, order):
-        return cls.from_rational(order, 1)
+        return _make(order, {0: 1})
 
     @classmethod
     def from_rational(cls, order, value):
-        deg = euler_phi(order)
-        return cls(order, (Fraction(value),) + (Fraction(0),) * (deg - 1))
+        value = _coefficient(value)
+        return _make(order, {0: value} if value else {})
+
+    @classmethod
+    def from_terms(cls, order, terms):
+        """sum c zeta^k over a map k -> c; exponents are read mod d."""
+        out = {}
+        for k, c in terms.items():
+            k %= order
+            v = out.get(k, 0) + _coefficient(c)
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+        return _make(order, out)
 
     @classmethod
     def zeta(cls, order, power=1):
-        """zeta_d^power as a reduced element."""
-        k = power % order
-        deg = euler_phi(order)
-        if k < deg:
-            coeffs = [Fraction(0)] * deg
-            coeffs[k] = Fraction(1)
-            return cls(order, coeffs)
-        poly = [Fraction(0)] * k + [Fraction(1)]
-        phi = [Fraction(c) for c in cyclotomic_polynomial(order)]
-        _, rem = _frac_divmod(poly, phi)
-        rem = rem + [Fraction(0)] * (deg - len(rem))
-        return cls(order, rem[:deg])
+        """zeta_d^power."""
+        return _make(order, {power % order: 1})
 
     # -- helpers -------------------------------------------------------------
 
@@ -195,7 +327,22 @@ class CycloNumber:
         return None
 
     @property
+    def coeffs(self) -> tuple:
+        """Power-basis coefficients modulo Phi_d, computed once."""
+        if self._basis is None:
+            _set(self, "_basis", _power_basis(self.order, self.terms))
+        return self._basis
+
+    @property
     def is_zero(self):
+        terms = self.terms
+        if len(terms) <= 1:
+            return not terms
+        if len(terms) == 2:
+            # c zeta^a + c' zeta^b vanishes only as c zeta^a - c zeta^(a + d/2)
+            (a, c), (b, c2) = terms.items()
+            d = self.order
+            return c == c2 and 2 * (a - b) % d == 0
         return not any(self.coeffs)
 
     def __bool__(self):
@@ -207,18 +354,28 @@ class CycloNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNumber(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        for k, c in b.items():
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return _make(self.order, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.order, tuple(-a for a in self.coeffs))
+        return _make(self.order, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNumber(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -230,36 +387,48 @@ class CycloNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        conv = [Fraction(0)] * (2 * len(a) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        return CycloNumber(self.order, _reduce_mod_phi(self.order, conv))
+        d = self.order
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            ((s, f),) = b.items()
+            return _make(d, {(k + s) % d: c * f for k, c in a.items()})
+        out = {}
+        for s, f in b.items():
+            for k, c in a.items():
+                e = (k + s) % d
+                v = out.get(e, 0) + c * f
+                if v:
+                    out[e] = v
+                else:
+                    out.pop(e, None)
+        return _make(d, out)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse.
+
+        A monomial's inverse negates its exponent.  Otherwise the inverse is
+        the product of the other Galois conjugates x(zeta^j), gcd(j, d) = 1,
+        j != 1, divided by the norm, the product of all of them, which is
+        rational.
+        """
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # xgcd(a, Phi_d) over Q[x]; Phi_d is irreducible so the gcd is 1.
-        a = _trim([Fraction(c) for c in self.coeffs])
-        b = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        s0, s1 = [Fraction(1)], []
-        r0, r1 = a, b
-        while r1:
-            q, r = _frac_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _trim([x - y for x, y in _zip_pad(s0, _poly_mul_frac(q, s1))])
-        # r0 is a nonzero constant c with s0*a = c (mod Phi)
-        c = r0[0]
-        deg = euler_phi(self.order)
-        inv = [x / c for x in s0]
-        inv = _reduce_mod_phi(self.order, inv + [Fraction(0)] * max(0, deg - len(inv)))
-        return CycloNumber(self.order, inv[:deg])
+        d, terms = self.order, self.terms
+        if len(terms) == 1:
+            ((k, c),) = terms.items()
+            return _make(d, {-k % d: c if c in (1, -1) else 1 / Fraction(c)})
+        others = CycloNumber.one(d)
+        for j in range(2, d):
+            if gcd(j, d) == 1:
+                others = others * _make(d, {k * j % d: c for k, c in terms.items()})
+        norm = (self * others).coeffs
+        if any(norm[1:]):
+            raise InvariantError("the norm of a cyclotomic number is not rational")
+        return others * (1 / Fraction(norm[0]))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -291,7 +460,11 @@ class CycloNumber:
 
     def __eq__(self, other):
         if isinstance(other, CycloNumber):
-            return self.order == other.order and self.coeffs == other.coeffs
+            if self.order != other.order:
+                return False
+            if len(self.terms) <= 1 and len(other.terms) <= 1:
+                return (self - other).is_zero
+            return self.coeffs == other.coeffs
         if isinstance(other, _Rational):
             return self == CycloNumber.from_rational(self.order, other)
         return NotImplemented
@@ -300,10 +473,12 @@ class CycloNumber:
         return hash((self.order, self.coeffs))
 
     def to_complex(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.order)
+        """The embedding zeta_d -> e^(2 pi i/d), as one sum over the exponents."""
+        d = self.order
         out = 0j
-        for c in reversed(self.coeffs):
-            out = out * z + complex(c)
+        for k, c in self.terms.items():
+            u = _unit(d, k)
+            out += u if c == 1 else c * u
         return out
 
     def __repr__(self):
@@ -318,38 +493,6 @@ class CycloNumber:
                 terms.append(mon if c == 1 else f"{c}*{mon}")
         body = " + ".join(terms) if terms else "0"
         return f"Cyclo({self.order}: {body})"
-
-
-def _zip_pad(p, q):
-    n = max(len(p), len(q))
-    p = list(p) + [Fraction(0)] * (n - len(p))
-    q = list(q) + [Fraction(0)] * (n - len(q))
-    return zip(p, q)
-
-
-def _poly_mul_frac(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _trim(out)
-
-
-def _frac_divmod(num, den):
-    num = list(num)
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    while len(num) >= len(den) and num:
-        shift = len(num) - len(den)
-        coeff = num[-1] / lead
-        quot[shift] = coeff
-        for i, c in enumerate(den):
-            num[shift + i] -= coeff * c
-        _trim(num)
-    return quot, num
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +525,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list:
-    out, q = [], 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 @lru_cache(maxsize=None)
 def rank_prime(d: int, k: int) -> tuple:
     """The k-th prime p = 1 (mod d) below 2^61, counting down from 2^61,
@@ -407,6 +537,8 @@ def rank_prime(d: int, k: int) -> tuple:
     p = top - 1 - (top - 2) % d  # largest p < top with p = 1 (mod d)
     while not _is_prime(p):
         p -= d
+        if p < 2:
+            raise ValueError(f"no prime p = 1 (mod {d}) below 2^61")
     factors = _prime_factors(d)
     g = 2
     while True:
@@ -416,21 +548,20 @@ def rank_prime(d: int, k: int) -> tuple:
         g += 1
 
 
-def _rank_mod(rows, p: int, w: int, phi: int, cap: int) -> int:
+def _rank_mod(rows, p: int, w: int, exponents, cap: int) -> int:
     """Rank over F_p of integer rows under zeta -> w, by sparse elimination.
 
-    ``rows`` holds lists of (column, power-basis coefficients); each row is
-    reduced against the pivot rows found so far, which are kept monic in
-    their leading column.
+    ``rows`` holds lists of (column, ((exponent, integer coefficient), ...));
+    ``exponents`` are the exponents that occur, whose images w^k are
+    computed once.  Each row is reduced against the pivot rows found so far,
+    which are kept monic in their leading column.
     """
-    powers = [1] * phi
-    for j in range(1, phi):
-        powers[j] = powers[j - 1] * w % p
+    powers = {k: pow(w, k, p) for k in exponents}
     pivots = {}
     for entries in rows:
         row = {}
-        for col, cs in entries:
-            v = sum(c * q for c, q in zip(cs, powers)) % p
+        for col, terms in entries:
+            v = sum(c * powers[k] for k, c in terms) % p
             if v:
                 row[col] = v
         while row:
@@ -452,7 +583,7 @@ def _rank_mod(rows, p: int, w: int, phi: int, cap: int) -> int:
     return len(pivots)
 
 
-def rank_exact(rows) -> int:
+def rank_exact(rows, upper: int | None = None) -> int:
     """Rank over Q(zeta_d) of a matrix of :class:`CycloNumber`, certified
     from its images modulo primes.
 
@@ -466,40 +597,57 @@ def rank_exact(rows) -> int:
       minor Delta: Delta lies in the kernel of Z[zeta_d] -> F_p, which is a
       prime over p, and N(Delta) is Delta times algebraic integers;
     - |N(Delta)| <= H^phi(d), where H is the product over rows of
-      max(1, ||row||_2) with each entry counted as the l1-norm of its
-      coefficients, because every complex embedding of Delta is bounded by
-      Hadamard's inequality.
+      max(1, ||row||_2) with each entry counted as the l1 norm of its
+      exponent map.  Every complex embedding sends zeta^k to a number of
+      modulus 1, so that l1 norm bounds the entry in every embedding, and
+      Hadamard's inequality bounds every embedding of Delta.
 
     So the distinct primes that fall short all divide one nonzero integer
     of size at most H^phi(d).  Primes are used until the rank reaches the
-    number of nonzero rows or of columns, or their product exceeds
-    H^phi(d); the largest rank seen is then r.
+    number of nonzero rows, the number of columns or ``upper``, or their
+    product exceeds H^phi(d); the largest rank seen is then r.  ``upper``
+    must be an upper bound on r that the caller knows: a prime that
+    reaches it proves r = upper.  The comparison is by bit lengths: the
+    product is at least 2^b with b = sum(bit_length(p) - 1), and
+    H^(2 phi(d)) < 2^(phi(d) * bit_length(H^2)), so 2 b >= that exponent
+    proves product > H^phi(d).
+
+    Zero tests are structural: an entry is skipped when its map is empty.
+    A nonzero map that sums to zero is kept; its images are 0 mod every p.
     """
     if not rows or not rows[0]:
         return 0
     ncols = len(rows[0])
-    scaled = []  # nonzero rows as lists of (column, integer coefficients)
+    scaled = []  # nonzero rows as lists of (column, ((exponent, integer), ...))
+    exponents = set()
     norms = 1  # product over rows of max(1, ||row||_2^2)
-    order = phi = None
+    order = None
     for r in rows:
-        entries = [(j, x.coeffs) for j, x in enumerate(r) if x]
+        entries = [(j, x.terms) for j, x in enumerate(r) if x.terms]
         if not entries:
             continue
-        den = lcm(*(c.denominator for _j, cs in entries for c in cs))
-        ints = [(j, tuple(c.numerator * (den // c.denominator) for c in cs)) for j, cs in entries]
+        den = lcm(*(c.denominator for _j, t in entries for c in t.values()))
+        ints = [
+            (j, tuple((k, c.numerator * (den // c.denominator)) for k, c in t.items()))
+            for j, t in entries
+        ]
         scaled.append(ints)
-        norms *= sum(sum(map(abs, cs)) ** 2 for _j, cs in ints)
+        for _j, ts in ints:
+            exponents.update(k for k, _c in ts)
+        norms *= sum(sum(abs(c) for _k, c in ts) ** 2 for _j, ts in ints)
         if order is None:
-            order, phi = r[entries[0][0]].order, len(entries[0][1])
+            order = r[entries[0][0]].order
     if not scaled:
         return 0
     cap = min(len(scaled), ncols)
-    limit = norms**phi  # H^(2 phi)
-    best, product, k = 0, 1, 0
-    while best < cap and product * product <= limit:
+    if upper is not None:
+        cap = min(cap, upper)
+    need = euler_phi(order) * norms.bit_length()  # norms = H^2, H^(2 phi) < 2^need
+    best, bits, k = 0, 0, 0
+    while best < cap and 2 * bits < need:
         p, w = rank_prime(order, k)
-        best = max(best, _rank_mod(scaled, p, w, phi, cap))
-        product *= p
+        best = max(best, _rank_mod(scaled, p, w, exponents, cap))
+        bits += p.bit_length() - 1
         k += 1
     return best
 
@@ -569,8 +717,12 @@ def _classify(matrix):
     return "float", None
 
 
-def rank(matrix, tol: float = 1e-9) -> int:
-    """Rank of a rectangular matrix of uniform scalar mode."""
+def rank(matrix, tol: float = 1e-9, upper: int | None = None) -> int:
+    """Rank of a rectangular matrix of uniform scalar mode.
+
+    ``upper``, a known upper bound on the exact rank, is passed to
+    :func:`rank_exact`; the float mode does not use it.
+    """
     rows = [list(r) for r in matrix]
     if not rows or not rows[0]:
         return 0
@@ -584,12 +736,20 @@ def rank(matrix, tol: float = 1e-9) -> int:
         [x if isinstance(x, CycloNumber) else CycloNumber.from_rational(order, x) for x in r]
         for r in rows
     ]
-    return rank_exact(coerced)
+    return rank_exact(coerced, upper)
 
 
 def to_complex_matrix(rows):
-    """Embed an exact matrix into complex numbers via zeta_d -> e^(2 pi i/d)."""
+    """Embed an exact matrix into complex numbers via zeta_d -> e^(2 pi i/d).
+
+    An empty map becomes 0j without being evaluated.
+    """
     out = []
     for r in rows:
-        out.append([x.to_complex() if isinstance(x, CycloNumber) else complex(x) for x in r])
+        out.append(
+            [
+                (x.to_complex() if x.terms else 0j) if isinstance(x, CycloNumber) else complex(x)
+                for x in r
+            ]
+        )
     return out

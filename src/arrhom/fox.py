@@ -20,9 +20,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import rank
-from .errors import InvariantError, NormalizationFailed
-from .geometry import Arrangement, mat_mul, transform
+from .cyclo import CycloNumber, rank
+from .errors import InvariantError
+from .geometry import Arrangement, _shear_x, mat_mul, transform
 from .local_system import LocalSystem
 
 __all__ = [
@@ -80,8 +80,69 @@ def _sweep_generic(lines) -> bool:
     return len(xs) == len(set(xs))
 
 
+def _random_shears(seed: int):
+    """The shears tried first: 0, then 63 random small rationals."""
+    rng = random.Random(seed)
+    yield Fraction(0)
+    for attempt in range(1, 64):
+        yield Fraction(rng.randint(1, 6 * attempt), rng.randint(1, 5)) * rng.choice((1, -1))
+
+
+def _safe_shear(lines) -> int:
+    """An integer shear x -> x + t*y that makes the lines sweep-generic.
+
+    The shear moves a crossing (x, y) to abscissa x + t*y.  Two crossings
+    at different heights y1 != y2 collide only for t = (x2 - x1)/(y1 - y2),
+    which is at most the x-range of the crossings over their smallest
+    nonzero y-gap in size; crossings at one height never collide.  The line
+    a*x + b*y + c = 0 becomes vertical only for t = b/a.  So the first
+    integer above that size which is no b/a is safe.
+    """
+    pts = set()
+    for i, l1 in enumerate(lines):
+        for l2 in lines[i + 1 :]:
+            z = l1.a * l2.b - l2.a * l1.b
+            if z:  # lines of the chart that are parallel cross at infinity
+                pts.add((Fraction(l1.b * l2.c - l2.b * l1.c, z), Fraction(l1.c * l2.a - l2.c * l1.a, z)))
+    ys = sorted({y for _x, y in pts})
+    t = 1
+    if len(ys) > 1:
+        xs = [x for x, _y in pts]
+        gap = min(b - a for a, b in zip(ys, ys[1:]))
+        t = (max(xs) - min(xs)) // gap + 1
+    while any(l.a * t == l.b for l in lines):
+        t += 1
+    return t
+
+
+def _chart(arr, system, M, rest_ids, line_id, t):
+    """The chart M sheared by t, or None when it is not sweep-generic."""
+    moved = transform(arr, mat_mul(_shear_x(t), M))
+    lines = tuple(moved.lines[i] for i in rest_ids)
+    if not _sweep_generic(lines):
+        return None
+    mon = tuple(system.m(i) for i in rest_ids)
+    turning = mon[0]
+    for v in mon[1:]:
+        turning = turning * v
+    if system.is_exact and turning != system.m_inverse(line_id):
+        raise InvariantError("monodromy around infinity is not m(removed line)^-1")
+    return DeconedArrangement(
+        lines=lines,
+        line_ids=rest_ids,
+        monodromy=mon,
+        monodromy_inverse=tuple(system.m_inverse(i) for i in rest_ids),
+        removed=line_id,
+        infinity_monodromy=turning,
+    )
+
+
 def decone(arr: Arrangement, system: LocalSystem, line_id: int, seed: int = 0):
-    """Remove one line and pass to the chart where it is the line at infinity."""
+    """Remove one line and pass to the chart where it is the line at infinity.
+
+    The chart is sheared by the first of :func:`_random_shears` that makes
+    it sweep-generic; when none does, by :func:`_safe_shear`.
+    """
     w = arr.lines[line_id]
     rows = None
     for keep in ((0, 1), (0, 2), (1, 2)):
@@ -103,36 +164,16 @@ def decone(arr: Arrangement, system: LocalSystem, line_id: int, seed: int = 0):
             break
     M = rows
     rest_ids = tuple(i for i in range(arr.n) if i != line_id)
-    rng = random.Random(seed)
-    for attempt in range(64):
-        if attempt == 0:
-            t = Fraction(0)
-        else:
-            t = Fraction(rng.randint(1, 6 * attempt), rng.randint(1, 5)) * rng.choice((1, -1))
-        shear = (
-            (Fraction(1), Fraction(t), Fraction(0)),
-            (Fraction(0), Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(1)),
-        )
-        total = mat_mul(shear, M)
-        moved = transform(arr, total)
-        lines = tuple(moved.lines[i] for i in rest_ids)
-        if _sweep_generic(lines):
-            mon = tuple(system.m(i) for i in rest_ids)
-            turning = mon[0]
-            for v in mon[1:]:
-                turning = turning * v
-            if system.is_exact and turning != system.m_inverse(line_id):
-                raise InvariantError("monodromy around infinity is not m(removed line)^-1")
-            return DeconedArrangement(
-                lines=lines,
-                line_ids=rest_ids,
-                monodromy=mon,
-                monodromy_inverse=tuple(system.m_inverse(i) for i in rest_ids),
-                removed=line_id,
-                infinity_monodromy=turning,
-            )
-    raise NormalizationFailed("no sweep-generic chart found for deconing", seed=seed)
+    for t in _random_shears(seed):
+        dec = _chart(arr, system, M, rest_ids, line_id, t)
+        if dec is not None:
+            return dec
+    unsheared = transform(arr, M)
+    t = _safe_shear(tuple(unsheared.lines[i] for i in rest_ids))
+    dec = _chart(arr, system, M, rest_ids, line_id, t)
+    if dec is None:
+        raise InvariantError(f"the shear {t} past every collision is not sweep-generic (seed={seed})")
+    return dec
 
 
 @dataclass(frozen=True)
@@ -222,10 +263,10 @@ def presentation(dec: DeconedArrangement) -> GroupPresentation:
     return GroupPresentation(tuple(range(m)), tuple(relators))
 
 
-def _fox_row(word, m, mon, mon_inv, zero, one):
-    """Monodromy-evaluated Fox derivatives of one word."""
-    row = [zero] * m
-    pref = one
+def _fox_row_float(word, m, mon, mon_inv):
+    """Monodromy-evaluated Fox derivatives of one word, float values."""
+    row = [0j] * m
+    pref = complex(1.0)
     for c in word:
         i = abs(c) - 1
         if c > 0:
@@ -237,21 +278,40 @@ def _fox_row(word, m, mon, mon_inv, zero, one):
     return row
 
 
-def _one_like(scalar):
-    if isinstance(scalar, complex):
-        return complex(1.0)
-    from .cyclo import CycloNumber
+def _fox_row(word, m, exps, d):
+    """Fox derivatives of one word under x_i -> zeta_d^exps[i], as exponent maps.
 
-    return CycloNumber.one(scalar.order)
+    Every prefix of the word evaluates to a monomial zeta^e, so each letter
+    adds +1 or -1 at one exponent of one entry.
+    """
+    row = [{} for _ in range(m)]  # one exponent map per generator
+    e = 0
+    for c in word:
+        i = abs(c) - 1
+        if c < 0:
+            e = (e - exps[i]) % d
+        entry = row[i]
+        v = entry.get(e, 0) + (1 if c > 0 else -1)
+        if v:
+            entry[e] = v
+        else:
+            del entry[e]
+        if c > 0:
+            e = (e + exps[i]) % d
+    return [CycloNumber.from_terms(d, entry) for entry in row]
 
 
 def fox_complex(pres: GroupPresentation, dec: DeconedArrangement):
     """The twisted two-term complex (d2, d1) of the presentation complex."""
     m = len(pres.generators)
     mon, mon_inv = dec.monodromy, dec.monodromy_inverse
-    one = _one_like(mon[0])
-    zero = one - one
-    d2 = [_fox_row(w, m, mon, mon_inv, zero, one) for w in pres.relators]
+    if isinstance(mon[0], CycloNumber):
+        one = CycloNumber.one(mon[0].order)
+        exps = [next(iter(x.terms)) for x in mon]  # each value is zeta^k, the map {k: 1}
+        d2 = [_fox_row(w, m, exps, one.order) for w in pres.relators]
+    else:
+        one = complex(1.0)
+        d2 = [_fox_row_float(w, m, mon, mon_inv) for w in pres.relators]
     d1 = [mon[i] - one for i in range(m)]
     return d2, d1
 
@@ -269,4 +329,6 @@ def oracle_h1(arr: Arrangement, system: LocalSystem, line_id: int | None = None,
     if not pres.relators:
         return g - 1
     d2, _d1 = fox_complex(pres, dec)
-    return (g - 1) - rank(d2)
+    # the fundamental formula of Fox calculus gives d2 d1 = 0, and d1 != 0
+    # since every monodromy is nontrivial, so rank(d2) <= g - 1
+    return (g - 1) - rank(d2, upper=g - 1)

@@ -17,6 +17,7 @@ import math
 from fractions import Fraction
 
 from .bounds import beta_certificate, cdo_bound, r0_bound, sharp_pair_report
+from .cyclo import MAX_ORDER
 from .errors import NormalizationFailed, ParseError, PencilNotCovered
 from .fox import oracle_h1
 from .geometry import Arrangement, Line
@@ -114,6 +115,8 @@ def parse_instance(text: str):
         exps = raw_ls.get("exponents")
         if not isinstance(order, int) or isinstance(order, bool) or order < 1:
             raise ParseError("'order' must be a positive integer", "local_system.order")
+        if order > MAX_ORDER:
+            raise ParseError(f"'order' must be at most {MAX_ORDER}, got {order}", "local_system.order")
         if not isinstance(exps, list) or len(exps) != arr.n:
             raise ParseError("'exponents' must list one integer per line", "local_system.exponents")
         for i, k in enumerate(exps):

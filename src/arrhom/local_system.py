@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import CycloNumber
+from .cyclo import MAX_ORDER, CycloNumber
 from .errors import NotALocalSystem, TrivialOnLine
 from .geometry import Arrangement
 
@@ -46,8 +46,8 @@ class LocalSystem:
         else:
             if order is None or exponents is None:
                 raise ValueError("exact mode needs an order and exponents")
-            if order < 1:
-                raise ValueError("order must be positive")
+            if not 1 <= order <= MAX_ORDER:
+                raise ValueError(f"order must be from 1 to {MAX_ORDER}")
             self.order = int(order)
             self.exponents = tuple(int(k) % self.order for k in exponents)
             self.values = None

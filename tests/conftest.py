@@ -13,6 +13,11 @@ QUADRILATERAL_LINES = (
     Line.from_coeffs(0, 1, -1),  # y = 1
 )
 
+# the 9-line triangular grid x = i, y = j (0 <= i, j < 3) and x + y = c (1 <= c <= 3)
+GRID_LINES = tuple(
+    [(1, 0, -i) for i in range(3)] + [(0, 1, -j) for j in range(3)] + [(1, 1, -c) for c in range(1, 4)]
+)
+
 
 @pytest.fixture
 def quadrilateral():

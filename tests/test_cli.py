@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from arrhom.cli import main
+from arrhom.cyclo import MAX_ORDER
 from arrhom.geometry import Basic, Line, mat_apply_point, normalize
 from arrhom.io import parse_instance, parse_rational, rational_str
 from arrhom.errors import ParseError
@@ -129,6 +130,28 @@ def test_boolean_order_parse_error(tmp_path, capsys):
     assert "local_system.order" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("order", [MAX_ORDER + 1, 10**9, 2**61])
+def test_order_above_the_maximum_is_a_parse_error(tmp_path, capsys, order):
+    # 10^9 used to end in a MemoryError traceback, and from 2^61 on the
+    # search for a prime p = 1 (mod d) below 2^61 never returned
+    doc = {
+        "lines": [[0, 1, 0], [1, 0, 0], [1, -1, 0], [1, 1, -1]],
+        "local_system": {"order": order, "exponents": [1, 1, 1, -3]},
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "h1", str(path))
+    assert code == 1 and out == ""
+    assert "local_system.order" in err and f"at most {MAX_ORDER}" in err
+    assert "Traceback" not in err
+
+
+def test_order_at_the_maximum_is_accepted():
+    doc = dict(A3_DOC, local_system={"order": MAX_ORDER, "exponents": [1, 2, -3, -3, 2, 1]})
+    _arr, ls = parse_instance(json.dumps(doc))
+    assert ls.order == MAX_ORDER
+
+
 def test_admissibility_exit_code(tmp_path, capsys):
     doc = {
         "lines": [[0, 1, 0], [1, 0, 0], [1, -1, 0], [1, 1, -1]],
@@ -229,6 +252,7 @@ def test_env_seed_override(a3_file, capsys, monkeypatch):
         (None, ("fuzz", "--order", "1"), "--order"),
         (None, ("fuzz", "--order", "2", "--lines", "3"), "--order"),
         (None, ("fuzz", "--trials", "-1"), "--trials"),
+        (None, ("fuzz", "--order", str(MAX_ORDER + 1)), "--order"),
     ],
 )
 def test_bad_option_values_exit_1(a3_file, capsys, monkeypatch, tmp_path, env_seed, argv, option):

@@ -1,4 +1,5 @@
 import cmath
+import json
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from arrhom.cyclo import (
     to_complex_matrix,
 )
 from arrhom.errors import ModeMismatch, OrderMismatch
+from conftest import GRID_LINES
 
 
 def test_minimal_polynomials():
@@ -289,3 +291,160 @@ def test_empty_and_rational_matrices():
     assert rank([]) == 0
     assert rank([[Fraction(1, 2), 1], [1, 2]]) == 1
     assert rank([[0.0, 0.0]]) == 0
+
+
+# --- sparse exponent maps --------------------------------------------------
+
+
+def _naive_power_basis(d, terms):
+    """sum c_k x^k reduced modulo Phi_d by long division, low degree first."""
+    phi = cyclotomic_polynomial(d)
+    deg = len(phi) - 1
+    poly = [Fraction(0)] * max(d, deg)
+    for k, c in terms.items():
+        poly[k % d] += c
+    for top in range(len(poly) - 1, deg - 1, -1):
+        c = poly[top]
+        if c:
+            for i, p in enumerate(phi):
+                poly[top - deg + i] -= c * p
+    return tuple(poly[:deg])
+
+
+def _naive_product(d, a, b):
+    """The product of two exponent maps modulo x^d - 1, before any reduction."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[(i + j) % d] = out.get((i + j) % d, 0) + x * y
+    return out
+
+
+def _from_map(d, terms):
+    out = CycloNumber.zero(d)
+    for k, c in terms.items():
+        out = out + CycloNumber.zeta(d, k) * c
+    return out
+
+
+def _horner_reference(d, k):
+    """zeta_d^k evaluated in the power basis as the Horner loop over its coefficients."""
+    z = cmath.exp(2j * cmath.pi / d)
+    out = 0j
+    for c in reversed(_naive_power_basis(d, {k: 1})):
+        out = out * z + complex(c)
+    return out
+
+
+def _bits(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+def test_order_6_folds_the_half_turn():
+    z = CycloNumber.zeta(6)
+    assert not (z**3 + 1)
+    assert (z**3 + 1).is_zero
+    assert z**4 == -z
+    assert hash(z**4) == hash(-z)
+    assert CycloNumber.zeta(6, 4).terms == {4: 1} and (-z).terms == {1: -1}
+    assert z**3 == CycloNumber.from_rational(6, -1) and z**3 != 1
+    assert CycloNumber.zeta(6, 2) * 3 != CycloNumber.zeta(6, 5) * 3
+    assert CycloNumber.zeta(6, 2) * 3 == CycloNumber.zeta(6, 5) * -3
+
+
+def test_euler_phi_from_the_factorization():
+    for d in range(1, 60):
+        assert euler_phi(d) == len(cyclotomic_polynomial(d)) - 1
+    assert euler_phi(3000017) == 3000016  # prime: Phi_d is never built
+    assert euler_phi(2**20) == 2**19
+
+
+@pytest.mark.parametrize("d", range(1, 31))
+def test_to_complex_is_the_power_basis_horner_value(d):
+    for k in range(-1, d + 1):
+        assert _bits(CycloNumber.zeta(d, k).to_complex()) == _bits(_horner_reference(d, k))
+
+
+def test_to_complex_at_a_large_order():
+    d = 1009
+    for k in (0, 1, 255, 512, 1007, 1008):
+        assert _bits(CycloNumber.zeta(d, k).to_complex()) == _bits(_horner_reference(d, k))
+
+
+_maps = st.dictionaries(
+    st.integers(min_value=0, max_value=40),
+    st.one_of(
+        st.integers(min_value=-5, max_value=5),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(min_value=1, max_value=24), a=_maps, b=_maps)
+def test_sums_and_products_match_the_naive_reduction(d, a, b):
+    x, y = _from_map(d, a), _from_map(d, b)
+    sum_map = dict(a)
+    for k, c in b.items():
+        sum_map[k] = sum_map.get(k, 0) + c
+    assert (x + y).coeffs == _naive_power_basis(d, sum_map)
+    assert (x * y).coeffs == _naive_power_basis(d, _naive_product(d, a, b))
+    assert (x - y).is_zero == (x == y) == (_naive_power_basis(d, a) == _naive_power_basis(d, b))
+    assert bool(x * y) == any(_naive_power_basis(d, _naive_product(d, a, b)))
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+def test_monomial_inverse_negates_the_exponent():
+    z = CycloNumber.zeta(1009, 5) * Fraction(2, 3)
+    inv = z.inverse()
+    assert inv.terms == {1004: Fraction(3, 2)}
+    assert z * inv == 1
+    assert CycloNumber.zeta(12, 7).inverse().terms == {5: 1}
+
+
+# --- large orders end to end -----------------------------------------------
+
+# on the grid, with exponents s + i t, s' + j t and -(s + s' + c t) for the
+# lines x = i, y = j and x + y = c, every triple point (i, j, i + j) is resonant
+GRID_EXPONENTS = [1, 6, 11, 2, 7, 12, -8, -13, -18]
+# the complete quadrilateral with equal values on opposite lines: h1 = 1, so
+# the rank is certified by the norm bound, with about phi(d) / 6 primes
+QUAD_LINES = [[0, 1, 0], [1, 0, 0], [1, -1, 0], [1, 1, -1], [1, 0, -1], [0, 1, -1]]
+QUAD_EXPONENTS = [1, 2, -3, -3, 2, 1]
+
+
+@pytest.mark.parametrize(
+    "lines, exponents, order, h1",
+    [
+        (GRID_LINES, GRID_EXPONENTS, 1009, 0),
+        (GRID_LINES, GRID_EXPONENTS, 5003, 0),
+        (QUAD_LINES, QUAD_EXPONENTS, 1009, 1),
+        (QUAD_LINES, QUAD_EXPONENTS, 5003, 1),
+    ],
+    ids=["grid-1009", "grid-5003", "quad-1009", "quad-5003"],
+)
+def test_large_order_report(tmp_path, capsys, lines, exponents, order, h1):
+    from arrhom.cli import main
+
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"lines": lines, "local_system": {"order": order, "exponents": exponents}}))
+    assert main(["h1", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["h1"] == h1
+    assert report["oracle"] == {"agrees": True, "h1": h1}
+    assert all(report["consistency"].values())
+
+
+def test_oracle_rank_stops_at_its_upper_bound(monkeypatch):
+    # rank(d2) = g - 1 when h1 = 0, and g - 1 is passed as the upper bound,
+    # so the first prime that reaches it ends the certification
+    from arrhom.fox import oracle_h1
+    from arrhom.geometry import Arrangement, Line
+    from arrhom.local_system import LocalSystem
+
+    arr = Arrangement([Line.from_coeffs(*l) for l in GRID_LINES])
+    images = _record_images(monkeypatch)
+    assert oracle_h1(arr, LocalSystem(order=5003, exponents=GRID_EXPONENTS)) == 0
+    assert len(images) == 1

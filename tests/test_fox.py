@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from arrhom import fox
 from arrhom.cyclo import CycloNumber
 from arrhom.geometry import Arrangement, Line, incidence_signature
 from arrhom.fox import decone, fox_complex, oracle_h1, presentation, wiring_diagram
 from arrhom.fuzz import corpus
 from arrhom.homology import h1
 from arrhom.local_system import LocalSystem
-from conftest import pencil
+from conftest import GRID_LINES, pencil
 
 
 def test_decone_two_lines():
@@ -116,3 +117,39 @@ def test_oracle_matches_main_algorithm(idx):
     rng = random.Random(idx)
     lid = rng.randrange(inst.arrangement.n)
     assert oracle_h1(inst.arrangement, inst.system, lid, seed=idx) == rep.h1
+
+
+def _grid_a3():
+    return Arrangement([Line.from_coeffs(*l) for l in GRID_LINES]), LocalSystem(order=3, exponents=[1] * 9)
+
+
+@pytest.mark.parametrize("line_id", [0, 4, 8])
+def test_decone_falls_back_to_a_shear_past_every_collision(monkeypatch, line_id):
+    # every random shear is made to fail; the chart then comes from the
+    # shear beyond the finite set of bad ones, and the oracle is unchanged
+    arr, ls = _grid_a3()
+    expected = oracle_h1(arr, ls, line_id)
+    real = fox._sweep_generic
+    rejected = []
+
+    def rejecting(lines):
+        if len(rejected) < 64:
+            rejected.append(lines)
+            return False
+        return real(lines)
+
+    monkeypatch.setattr(fox, "_sweep_generic", rejecting)
+    dec = decone(arr, ls, line_id)
+    assert len(rejected) == 64
+    assert real(dec.lines)
+    rejected.clear()
+    assert oracle_h1(arr, ls, line_id) == expected == h1(arr, ls).h1
+
+
+def test_safe_shear_clears_vertical_lines_and_aligned_crossings():
+    # the unsheared grid has vertical lines and crossings on common verticals
+    arr, _ls = _grid_a3()
+    assert not fox._sweep_generic(arr.lines)
+    t = fox._safe_shear(arr.lines)
+    sheared = [Line.from_coeffs(l.a, l.b - t * l.a, l.c) for l in arr.lines]
+    assert fox._sweep_generic(sheared)

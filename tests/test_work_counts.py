@@ -13,11 +13,12 @@ from collections import Counter
 
 import pytest
 
-from arrhom import fuzz, geometry, homology
+from arrhom import cyclo, fox, fuzz, geometry, homology
 from arrhom.cli import main
+from arrhom.cyclo import CycloNumber
 from arrhom.fuzz import run_trial
 from arrhom.geometry import Arrangement
-from conftest import QUADRILATERAL_LINES
+from conftest import GRID_LINES, QUADRILATERAL_LINES
 
 TRACKED = {
     "h1": (homology, "h1"),
@@ -28,13 +29,21 @@ TRACKED = {
 }
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    counter = Counter()
+def _rebind(monkeypatch, original, wrapper):
+    """Replace every binding of ``original`` in the loaded arrhom modules."""
     modules = [
         m for k, m in list(sys.modules.items())
         if m is not None and (k == "arrhom" or k.startswith("arrhom."))
     ]
+    for mod in modules:
+        for key, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, key, wrapper)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counter = Counter()
     for name, (owner, attr) in TRACKED.items():
         original = getattr(owner, attr)
 
@@ -42,10 +51,7 @@ def calls(monkeypatch):
             counter[_name] += 1
             return _fn(*args, **kwargs)
 
-        for mod in modules:
-            for key, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, key, wrapper)
+        _rebind(monkeypatch, original, wrapper)
     return counter
 
 
@@ -100,3 +106,37 @@ def test_trials_intersect_each_input_once(calls):
         arr = Arrangement(inst.arrangement.lines)
         run_trial(arr, inst.system, seed=i, all_decones=arr.n <= 5, with_certificate=True, extra_seeds=1)
     assert calls["intersections"] == len(insts)
+
+
+def test_grid_report_does_no_power_basis_reduction_on_the_hot_path(monkeypatch, tmp_path, capsys):
+    # Fox rows, relation rows and exact rank work on exponent maps; only the
+    # cold path (equality of long maps, hashing, printing) reduces mod Phi_d
+    inside, reductions, entered = [], Counter(), Counter()
+    real = cyclo._power_basis
+
+    def counting(*args):
+        reductions[inside[-1] if inside else "elsewhere"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(cyclo, "_power_basis", counting)
+    for owner, attr in ((fox, "_fox_row"), (homology, "relation_matrix"), (cyclo, "rank_exact")):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, _fn=original, _name=attr, **kwargs):
+            entered[_name] += 1
+            inside.append(_name)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        _rebind(monkeypatch, original, wrapper)
+
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"lines": GRID_LINES, "local_system": {"order": 3, "exponents": [1] * 9}}))
+    assert main(["h1", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["h1"] == 1
+    assert entered["_fox_row"] > 0 and entered["relation_matrix"] == 1 and entered["rank_exact"] == 2
+    assert set(reductions) <= {"elsewhere"}
+    (CycloNumber.zeta(3) + 1).inverse()  # the counter sees a cold-path reduction
+    assert reductions["elsewhere"] >= 1
