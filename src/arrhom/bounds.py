@@ -154,18 +154,12 @@ def beta_certificate(arr: Arrangement, system: LocalSystem, l0: int, seed: int =
                     _vec_add(diff, alpha_of_line[lb], -one)
                 extra.append((qid, diff))
 
+    # span(R + S) = span(R) exactly when S lies in span(R): one rank test
+    # covers every beta vector and every nonzero extra member
     dense_rel = [r.dense(basis, zero) for r in rel_rows]
-    base_rank = rank(dense_rel) if basis.dim else 0
-    all_in = True
-    for _qid, _flag, vec in betas:
-        if rank(dense_rel + [_vec_dense(vec, basis.dim, zero)]) != base_rank:
-            all_in = False
-    for _qid, diff in extra:
-        if any(diff.values()):
-            if rank(dense_rel + [_vec_dense(diff, basis.dim, zero)]) != base_rank:
-                all_in = False
-
     beta_rows = [_vec_dense(vec, basis.dim, zero) for _q, _f, vec in betas]
+    members = beta_rows + [_vec_dense(diff, basis.dim, zero) for _q, diff in extra if any(diff.values())]
+    all_in = not members or rank(dense_rel + members) == rank(dense_rel)
     family_rank = rank(beta_rows) if beta_rows and basis.dim else 0
     n_n = len(n_points)
     counting_ok = n_n >= len(a_prime) - len(r0) + 1 if r0 else True

@@ -3,9 +3,17 @@
 The projective complement of n lines equals the affine complement of the
 other n-1 lines in the chart where the chosen line is the line at infinity.
 A left-to-right sweep of the affine real figure produces a wiring diagram
-and a finite presentation of the fundamental group with one generator per
-affine line and mult(p)-1 relators per intersection point: the product of
-the local meridian words at each crossing commutes with each of them.
+and a finite presentation of the fundamental group (Randell 1982) with one
+generator per affine line and mult(p)-1 relators per intersection point: the
+product of the local meridian words at each crossing commutes with each of
+them.
+
+The chart is a projective image of the input (:func:`arrhom.geometry.transform`),
+so its crossings are the input's intersection points off the removed line,
+mapped and verified by integer evaluation; nothing is intersected again.
+The sweep needs only that no line is vertical: crossings that share an
+abscissa involve disjoint wires and are taken bottom to top, which is the
+order a small shear would give them (see :func:`wiring_diagram`).
 
 Evaluating the Fox derivatives of the relators under the monodromy
 representation gives the twisted chain complex of the presentation complex;
@@ -16,13 +24,12 @@ machinery, so it serves as an independent cross-check.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycloNumber, rank
 from .errors import InvariantError
-from .geometry import Arrangement, _shear_x, mat_mul, transform
+from .geometry import Arrangement, _shear_x, mat_identity, transform
 from .local_system import LocalSystem
 
 __all__ = [
@@ -41,86 +48,50 @@ __all__ = [
 class DeconedArrangement:
     """An affine chart of the projective complement.
 
-    ``lines`` are the remaining lines in a sweep-generic frame (no vertical
-    line, pairwise distinct intersection abscissas); parallel lines are
-    allowed, their crossing having moved to infinity.  ``monodromy`` are the
-    unchanged per-line values; ``infinity_monodromy`` records their product,
-    the total turning around the removed line, which must equal the inverse
-    of that line's own value.
+    ``lines`` are the remaining lines, none of them vertical; parallel lines
+    are allowed, their crossing having moved to infinity.  ``crossings`` are
+    the chart's affine intersection points in (x, y) order, each as
+    ``((x, y), wires)`` with ``wires`` the positions of its lines in
+    ``lines``.  ``monodromy`` are the unchanged per-line values;
+    ``infinity_monodromy`` records their product, the total turning around
+    the removed line, which must equal the inverse of that line's own value.
     """
 
     lines: tuple
     line_ids: tuple  # original indices, in original order
+    crossings: tuple
     monodromy: tuple
     monodromy_inverse: tuple
     removed: int
     infinity_monodromy: object = None
 
 
-def _affine_crossings(lines):
-    """Map (x, y) -> set of incident line positions; parallels never cross."""
-    pts = {}
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            li, lj = lines[i], lines[j]
-            if li.slope == lj.slope:
-                continue
-            x = (lj.intercept - li.intercept) / (li.slope - lj.slope)
-            y = li.slope * x + li.intercept
-            pts.setdefault((x, y), set()).update((i, j))
-    return pts
+def decone(arr: Arrangement, system: LocalSystem, line_id: int):
+    """Remove one line and pass to the chart where it is the line at infinity.
 
-
-def _sweep_generic(lines) -> bool:
-    # distinct crossings must never align vertically; coincident crossings
-    # share one abscissa by definition
-    if any(l.is_vertical for l in lines):
-        return False
-    xs = [x for (x, _y) in _affine_crossings(lines)]
-    return len(xs) == len(set(xs))
-
-
-def _random_shears(seed: int):
-    """The shears tried first: 0, then 63 random small rationals."""
-    rng = random.Random(seed)
-    yield Fraction(0)
-    for attempt in range(1, 64):
-        yield Fraction(rng.randint(1, 6 * attempt), rng.randint(1, 5)) * rng.choice((1, -1))
-
-
-def _safe_shear(lines) -> int:
-    """An integer shear x -> x + t*y that makes the lines sweep-generic.
-
-    The shear moves a crossing (x, y) to abscissa x + t*y.  Two crossings
-    at different heights y1 != y2 collide only for t = (x2 - x1)/(y1 - y2),
-    which is at most the x-range of the crossings over their smallest
-    nonzero y-gap in size; crossings at one height never collide.  The line
-    a*x + b*y + c = 0 becomes vertical only for t = b/a.  So the first
-    integer above that size which is no b/a is safe.
+    The point map M has the removed line as its last row, so a point's new
+    Z is its value on that line: the points off it are the chart's affine
+    crossings.  When a remaining line a*x + b*y + c = 0 is vertical (b = 0),
+    the chart is sheared by x -> x + t*y, which turns b into b - t*a, with
+    the least integer t >= 0 for which a*t != b on every remaining line.
+    No other genericity is needed; see :func:`wiring_diagram`.
     """
-    pts = set()
-    for i, l1 in enumerate(lines):
-        for l2 in lines[i + 1 :]:
-            z = l1.a * l2.b - l2.a * l1.b
-            if z:  # lines of the chart that are parallel cross at infinity
-                pts.add((Fraction(l1.b * l2.c - l2.b * l1.c, z), Fraction(l1.c * l2.a - l2.c * l1.a, z)))
-    ys = sorted({y for _x, y in pts})
-    t = 1
-    if len(ys) > 1:
-        xs = [x for x, _y in pts]
-        gap = min(b - a for a, b in zip(ys, ys[1:]))
-        t = (max(xs) - min(xs)) // gap + 1
-    while any(l.a * t == l.b for l in lines):
+    w = arr.lines[line_id]
+    coeffs = (Fraction(w.a), Fraction(w.b), Fraction(w.c))
+    k = next(k for k in (2, 1, 0) if coeffs[k])  # rows e_i, e_j (i, j != k) and w are independent
+    M = tuple(row for i, row in enumerate(mat_identity()) if i != k) + (coeffs,)
+    chart = transform(arr, M)
+    rest_ids = tuple(i for i in range(arr.n) if i != line_id)
+    t = 0
+    while any(chart.lines[i].a * t == chart.lines[i].b for i in rest_ids):
         t += 1
-    return t
-
-
-def _chart(arr, system, M, rest_ids, line_id, t):
-    """The chart M sheared by t, or None when it is not sweep-generic."""
-    moved = transform(arr, mat_mul(_shear_x(t), M))
-    lines = tuple(moved.lines[i] for i in rest_ids)
-    if not _sweep_generic(lines):
-        return None
+    if t:
+        chart = transform(chart, _shear_x(t))
+    lines = tuple(chart.lines[i] for i in rest_ids)
+    wire = {lid: pos for pos, lid in enumerate(rest_ids)}
+    crossings = tuple(
+        ((p.x, p.y), tuple(wire[i] for i in p.line_ids)) for p in chart.points if not p.is_infinite
+    )
     mon = tuple(system.m(i) for i in rest_ids)
     turning = mon[0]
     for v in mon[1:]:
@@ -130,50 +101,12 @@ def _chart(arr, system, M, rest_ids, line_id, t):
     return DeconedArrangement(
         lines=lines,
         line_ids=rest_ids,
+        crossings=crossings,
         monodromy=mon,
         monodromy_inverse=tuple(system.m_inverse(i) for i in rest_ids),
         removed=line_id,
         infinity_monodromy=turning,
     )
-
-
-def decone(arr: Arrangement, system: LocalSystem, line_id: int, seed: int = 0):
-    """Remove one line and pass to the chart where it is the line at infinity.
-
-    The chart is sheared by the first of :func:`_random_shears` that makes
-    it sweep-generic; when none does, by :func:`_safe_shear`.
-    """
-    w = arr.lines[line_id]
-    rows = None
-    for keep in ((0, 1), (0, 2), (1, 2)):
-        cand = [None, None, None]
-        basis = [
-            (Fraction(1), Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(1)),
-        ]
-        cand[0], cand[1] = basis[keep[0]], basis[keep[1]]
-        cand[2] = (Fraction(w.a), Fraction(w.b), Fraction(w.c))
-        det = (
-            cand[0][0] * (cand[1][1] * cand[2][2] - cand[1][2] * cand[2][1])
-            - cand[0][1] * (cand[1][0] * cand[2][2] - cand[1][2] * cand[2][0])
-            + cand[0][2] * (cand[1][0] * cand[2][1] - cand[1][1] * cand[2][0])
-        )
-        if det != 0:
-            rows = tuple(cand)
-            break
-    M = rows
-    rest_ids = tuple(i for i in range(arr.n) if i != line_id)
-    for t in _random_shears(seed):
-        dec = _chart(arr, system, M, rest_ids, line_id, t)
-        if dec is not None:
-            return dec
-    unsheared = transform(arr, M)
-    t = _safe_shear(tuple(unsheared.lines[i] for i in rest_ids))
-    dec = _chart(arr, system, M, rest_ids, line_id, t)
-    if dec is None:
-        raise InvariantError(f"the shear {t} past every collision is not sweep-generic (seed={seed})")
-    return dec
 
 
 @dataclass(frozen=True)
@@ -191,17 +124,23 @@ class WiringDiagram:
 
 
 def wiring_diagram(dec: DeconedArrangement) -> WiringDiagram:
+    """Sweep the chart's crossings in (x, y) order.
+
+    A line that is not vertical has one height at each abscissa, so two
+    crossings at one abscissa share no wire, and just left of that abscissa
+    the wires of each form their own contiguous block.  Their block
+    reversals, and the relators read from them, therefore commute, and
+    taking them bottom to top gives exactly the diagram of the chart sheared
+    by a small t > 0: x -> x + t*y separates them in that order and moves no
+    crossing past another abscissa.  So the sweep needs no shear search and
+    no check that abscissas are distinct, only the absence of vertical lines.
+    """
     lines = dec.lines
-    m = len(lines)
-    events = sorted(_affine_crossings(lines).items(), key=lambda kv: kv[0][0])
-    if events:
-        x_left = events[0][0][0] - 1
-    else:
-        x_left = Fraction(0)
-    order = sorted(range(m), key=lambda i: lines[i].slope * x_left + lines[i].intercept)
+    x_left = dec.crossings[0][0][0] - 1 if dec.crossings else Fraction(0)
+    order = sorted(range(len(lines)), key=lambda i: lines[i].slope * x_left + lines[i].intercept)
     evs = []
     cur = list(order)
-    for (x, _y), wires in events:
+    for (x, _y), wires in dec.crossings:
         block = sorted(cur.index(w) for w in wires)
         lo, hi = block[0], block[-1]
         if block != list(range(lo, hi + 1)):
@@ -317,13 +256,17 @@ def fox_complex(pres: GroupPresentation, dec: DeconedArrangement):
 
 
 def oracle_h1(arr: Arrangement, system: LocalSystem, line_id: int | None = None, seed: int = 0) -> int:
-    """Twisted first Betti number through the fundamental group route."""
+    """Twisted first Betti number through the fundamental group route.
+
+    ``seed`` is accepted for existing callers and ignored: the chart of
+    :func:`decone` does not depend on it.
+    """
     system.require_admissible(arr)
     if arr.n < 2:
         raise ValueError("need an arrangement of at least 2 lines")
     if line_id is None:
         line_id = 0
-    dec = decone(arr, system, line_id, seed)
+    dec = decone(arr, system, line_id)
     pres = presentation(dec)
     g = len(pres.generators)
     if not pres.relators:

@@ -322,7 +322,7 @@ def run_trial(
     if with_oracle:
         choices = range(arr.n) if all_decones else (0,)
         for lid in choices:
-            oracle = oracle_h1(arr, system, lid, seed)
+            oracle = oracle_h1(arr, system, lid)
             if oracle != rep.h1:
                 violations.append(
                     f"oracle disagrees on decone line {lid}: {oracle} vs h1={rep.h1}"

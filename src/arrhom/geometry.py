@@ -385,15 +385,12 @@ class Basic:
 class SharpPairAdapted:
     """Half-plane adapted frame along ``l0``.
 
-    With only ``l0`` given, the target is: l0 = {y = 0}, all other slopes
-    distinct positive, every intersection point has y >= 0 (the chosen line
-    at infinity forms a sharp pair with l0 in the extended arrangement).
-    With ``l0_prime`` given as well, additionally l0' = {y = x}, slopes lie
-    in [0, 1] and every point satisfies x <= 0, y = 0 or x >= y > 0.
+    The target is: l0 = {y = 0}, all other slopes distinct positive, every
+    intersection point has y >= 0 (the chosen line at infinity forms a sharp
+    pair with l0 in the extended arrangement).
     """
 
     l0: int
-    l0_prime: int | None = None
 
 
 @dataclass(frozen=True)
@@ -477,16 +474,17 @@ def _normalize_basic(arr: Arrangement, rng: random.Random, retries: int = 64):
     )
 
 
-def _pair_component_labels(arr: Arrangement, li: Line, lj: Line, extra_points=()):
+def _pair_component_labels(arr: Arrangement, li: Line, lj: Line):
     """Signs of li*lj over intersection points off both lines.
 
     The product sign is projectively well-defined and labels the two
-    components of the real projective plane minus the two lines.
+    components of the real projective plane minus the two lines.  Tests
+    use this per-pair form as the reference for :func:`sharp_pairs`.
     """
     labels = set()
-    for coords in [p.coords for p in arr.points] + list(extra_points):
-        vi = li.hom_eval(*coords)
-        vj = lj.hom_eval(*coords)
+    for p in arr.points:
+        vi = li.hom_eval(*p.coords)
+        vj = lj.hom_eval(*p.coords)
         if vi == 0 or vj == 0:
             continue
         labels.add(_sign(vi * vj))
@@ -566,144 +564,6 @@ def _verify_adapted_single(arr: Arrangement, l0: int):
             raise NormalizationFailed("intersection point below the base line")
 
 
-def _occupied_piece_labels(arr: Arrangement, l0: Line, l0p: Line, linf: Line, occ_label: int):
-    """Labels separating the occupied component cut by the infinity candidate."""
-    taus = set()
-    for p in arr.points:
-        v0 = l0.hom_eval(*p.coords)
-        vp = l0p.hom_eval(*p.coords)
-        if v0 == 0 or vp == 0:
-            continue
-        if _sign(v0 * vp) != occ_label:
-            continue
-        vi = linf.hom_eval(*p.coords)
-        if vi == 0:
-            return None  # candidate passes through a point
-        taus.add(_sign(v0 * vi))
-    return taus
-
-
-def _adapted_pair(arr: Arrangement, l0: int, l0p: int, rng: random.Random, retries: int = 64):
-    """Frame with l0 = {y=0}, l0' = {y=x}, slopes in [0,1], points in the wedge."""
-    arr1, M1 = _normalize_basic(arr, rng)
-    line0 = arr1.lines[l0]
-    M2 = mat_mul(_shear_to_x_axis(line0.slope, line0.intercept), M1)
-    arr2 = transform(arr, M2)
-    labels = _pair_component_labels(arr2, arr2.lines[l0], arr2.lines[l0p])
-    if len(labels) > 1:
-        raise NormalizationFailed("the given pair of lines is not sharp")
-    occ_label = labels.pop() if labels else 1
-    p0 = _cross(arr2.lines[l0], arr2.lines[l0p])
-    x0 = Fraction(p0[0], p0[2])
-    on_l0 = sorted(
-        p.x for p in arr2.points if l0 in p.line_ids and p.coords != _canonical_triple(*p0)
-    )
-    # pivot abscissas for the infinity candidate, adjacent to p0 on l0
-    cands = []
-    right = [x for x in on_l0 if x > x0]
-    left = [x for x in on_l0 if x < x0]
-    cands.append((x0 + right[0]) / 2 if right else x0 + 1)
-    cands.append((x0 + left[-1]) / 2 if left else x0 - 1)
-    etas = [Fraction(1, k) for k in (2, 8, 64, 512)]
-    attempt = 0
-    for c in cands:
-        for eta_mag in etas:
-            for eta in (eta_mag, -eta_mag):
-                attempt += 1
-                if attempt > retries:
-                    raise NormalizationFailed(
-                        "sharp-pair normalization exhausted its retry budget"
-                    )
-                linf = Line.from_coeffs(-eta, 1, eta * c)  # y = eta*(x - c)
-                M = _try_pair_frame(arr, arr2, M2, l0, l0p, linf, occ_label)
-                if M is not None:
-                    out = transform(arr, M)
-                    _verify_adapted_pair(out, l0, l0p)
-                    return out, M
-    raise NormalizationFailed("sharp-pair normalization found no admissible frame")
-
-
-def _try_pair_frame(arr, arr2, M2, l0, l0p, linf, occ_label):
-    li0, lip = arr2.lines[l0], arr2.lines[l0p]
-    if linf in arr2.lines:
-        return None
-    if any(_line_through_point(linf, p.coords) for p in arr2.points):
-        return None
-    # (l0, linf) must be sharp in the extended arrangement
-    if len(_pair_component_labels(arr2, li0, linf)) > 1:
-        return None
-    # (l0, l0') must stay sharp once the crossings with linf are added
-    crossings = [_cross(l, linf) for i, l in enumerate(arr2.lines) if i not in (l0, l0p)]
-    if len(_pair_component_labels(arr2, li0, lip, extra_points=crossings)) > 1:
-        return None
-    # points in the occupied component must not be separated by linf
-    taus = _occupied_piece_labels(arr2, li0, lip, linf, occ_label)
-    if taus is None or len(taus) > 1:
-        return None
-    # triangle map: (l0, l0', linf) -> (y=0, y=x, z=0)
-    L = (
-        tuple(Fraction(v) for v in (li0.a, li0.b, li0.c)),
-        tuple(Fraction(v) for v in (lip.a, lip.b, lip.c)),
-        tuple(Fraction(v) for v in (linf.a, linf.b, linf.c)),
-    )
-    E = (
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(-1), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1)),
-    )
-    if mat_det(L) == 0:
-        return None
-    T1 = mat_mul(mat_inverse(E), L)
-    base = mat_mul(T1, M2)
-    # leftover stabilizer freedom of the fixed triangle: phi_t swaps the two
-    # slope arcs between 0 and 1, psi_u reflects the affine picture through
-    # the origin; try the four sign combinations and keep a verified one
-    for t in (1, -1):
-        phi = (
-            (Fraction(1), Fraction(t - 1), Fraction(0)),
-            (Fraction(0), Fraction(t), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(1)),
-        )
-        for u in (1, -1):
-            psi = (
-                (Fraction(u), Fraction(0), Fraction(0)),
-                (Fraction(0), Fraction(u), Fraction(0)),
-                (Fraction(0), Fraction(0), Fraction(1)),
-            )
-            M = mat_mul(psi, mat_mul(phi, base))
-            try:
-                _verify_adapted_pair(transform(arr, M), l0, l0p)
-            except NormalizationFailed:
-                continue
-            return M
-    return None
-
-
-def _verify_adapted_pair(arr: Arrangement, l0: int, l0p: int):
-    if (arr.lines[l0].a, arr.lines[l0].b, arr.lines[l0].c) != (0, 1, 0):
-        raise NormalizationFailed("base line did not land on y = 0")
-    if (arr.lines[l0p].a, arr.lines[l0p].b, arr.lines[l0p].c) != (1, -1, 0):
-        raise NormalizationFailed("second line did not land on y = x")
-    slopes = []
-    for l in arr.lines:
-        if l.is_vertical:
-            raise NormalizationFailed("vertical line in sharp-pair frame")
-        s = l.slope
-        if s < 0 or s > 1:
-            raise NormalizationFailed("slope outside [0, 1] in sharp-pair frame")
-        slopes.append(s)
-    if len(set(slopes)) != len(slopes):
-        raise NormalizationFailed("slope collision in sharp-pair frame")
-    for p in arr.points:
-        if p.is_infinite:
-            raise NormalizationFailed("intersection point at infinity")
-        if p.y == 0:
-            if p.x > 0:
-                raise NormalizationFailed("point on the base line with x > 0")
-        elif not (p.x >= p.y > 0):
-            raise NormalizationFailed("point outside the admissible wedge")
-
-
 def normalize(arr: Arrangement, profile=Basic(), seed: int = 0):
     """Return an equivalent arrangement satisfying the requested profile.
 
@@ -717,12 +577,8 @@ def normalize(arr: Arrangement, profile=Basic(), seed: int = 0):
         out, M = _normalize_basic(arr, rng)
         name = "basic"
     elif isinstance(profile, SharpPairAdapted):
-        if profile.l0_prime is None:
-            out, M = _adapted_single(arr, profile.l0, rng)
-            name = f"adapted(l0={profile.l0})"
-        else:
-            out, M = _adapted_pair(arr, profile.l0, profile.l0_prime, rng)
-            name = f"adapted(l0={profile.l0},l0'={profile.l0_prime})"
+        out, M = _adapted_single(arr, profile.l0, rng)
+        name = f"adapted(l0={profile.l0})"
     else:
         raise TypeError(f"unknown profile {profile!r}")
     return out, NormalizationRecord(M, seed, name)

@@ -238,7 +238,7 @@ def build_report(
     }
 
     if with_oracle and system.is_exact:
-        value = oracle_h1(arr, system, 0, seed)
+        value = oracle_h1(arr, system, 0)
         report["oracle"] = {"h1": value, "agrees": value == rep.h1}
         report["consistency"]["oracle_agrees"] = value == rep.h1
     else:

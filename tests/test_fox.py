@@ -1,10 +1,11 @@
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from arrhom import fox
 from arrhom.cyclo import CycloNumber
-from arrhom.geometry import Arrangement, Line, incidence_signature
+from arrhom.geometry import Arrangement, Line, incidence_signature, intersections
 from arrhom.fox import decone, fox_complex, oracle_h1, presentation, wiring_diagram
 from arrhom.fuzz import corpus
 from arrhom.homology import h1
@@ -123,33 +124,29 @@ def _grid_a3():
     return Arrangement([Line.from_coeffs(*l) for l in GRID_LINES]), LocalSystem(order=3, exponents=[1] * 9)
 
 
-@pytest.mark.parametrize("line_id", [0, 4, 8])
-def test_decone_falls_back_to_a_shear_past_every_collision(monkeypatch, line_id):
-    # every random shear is made to fail; the chart then comes from the
-    # shear beyond the finite set of bad ones, and the oracle is unchanged
+def test_grid_charts_sweep_shared_abscissas_as_a_small_shear_would():
+    # crossings at one abscissa are swept bottom to top; shearing the chart
+    # by a small t > 0 separates them in that order and gives the same
+    # presentation, found from the sheared lines alone
     arr, ls = _grid_a3()
-    expected = oracle_h1(arr, ls, line_id)
-    real = fox._sweep_generic
-    rejected = []
-
-    def rejecting(lines):
-        if len(rejected) < 64:
-            rejected.append(lines)
-            return False
-        return real(lines)
-
-    monkeypatch.setattr(fox, "_sweep_generic", rejecting)
-    dec = decone(arr, ls, line_id)
-    assert len(rejected) == 64
-    assert real(dec.lines)
-    rejected.clear()
-    assert oracle_h1(arr, ls, line_id) == expected == h1(arr, ls).h1
+    t = Fraction(1, 1000)
+    shared = 0
+    for line_id in range(arr.n):
+        dec = decone(arr, ls, line_id)
+        xs = [x for (x, _y), _wires in dec.crossings]
+        shared += len(set(xs)) < len(xs)
+        sheared = tuple(Line.from_coeffs(l.a, l.b - t * l.a, l.c) for l in dec.lines)
+        assert not any(l.is_vertical for l in sheared)
+        crossings = tuple(((p.x, p.y), p.line_ids) for p in intersections(sheared) if not p.is_infinite)
+        assert len(crossings) == len(dec.crossings)
+        assert len({x for (x, _y), _wires in crossings}) == len(crossings), line_id
+        assert presentation(replace(dec, lines=sheared, crossings=crossings)) == presentation(dec), line_id
+    assert shared >= 8  # every chart but line 6's, whose integer shear already separates them
 
 
-def test_safe_shear_clears_vertical_lines_and_aligned_crossings():
-    # the unsheared grid has vertical lines and crossings on common verticals
-    arr, _ls = _grid_a3()
-    assert not fox._sweep_generic(arr.lines)
-    t = fox._safe_shear(arr.lines)
-    sheared = [Line.from_coeffs(l.a, l.b - t * l.a, l.c) for l in arr.lines]
-    assert fox._sweep_generic(sheared)
+def test_grid_charts_have_no_vertical_line_and_the_oracle_agrees():
+    arr, ls = _grid_a3()
+    expected = h1(arr, ls).h1
+    for line_id in range(arr.n):
+        assert not any(l.is_vertical for l in decone(arr, ls, line_id).lines)
+        assert oracle_h1(arr, ls, line_id) == expected

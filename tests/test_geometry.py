@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrhom.errors import DuplicateLine, NormalizationFailed, NotNormalized
+from arrhom.errors import DuplicateLine, NotNormalized
+from arrhom.fox import decone
 from arrhom.fuzz import corpus, sharp_corpus
 from arrhom.geometry import (
     Arrangement,
@@ -167,16 +168,12 @@ def _frames(arr, seed):
             yield transform(arr, M)
             break
     yield normalize(arr, Basic(), seed)[0]
-    profiles = [SharpPairAdapted(seed % arr.n)]
-    pairs = sharp_pairs(arr)
-    if pairs:
-        profiles.append(SharpPairAdapted(*pairs[seed % len(pairs)]))
-    for profile in profiles:
-        try:
-            out, _rec = normalize(arr, profile, seed)
-        except NormalizationFailed:  # not every sharp pair has an adapted frame
-            continue
-        yield out
+    yield normalize(arr, SharpPairAdapted(seed % arr.n), seed)[0]
+
+
+def _affine(points):
+    """((x, y), sorted line ids) of the affine points among (index, coords, line ids)."""
+    return [((Fraction(X, Z), Fraction(Y, Z)), tuple(sorted(ids))) for _i, (X, Y, Z), ids in points if Z]
 
 
 @pytest.mark.parametrize(
@@ -190,6 +187,11 @@ def test_mapped_points_match_reintersection(make):
             got = [(p.index, p.coords, p.line_ids) for p in arr.points]
             assert got == _reintersect(arr.lines), (k, arr.lines)
             frames += 1
+        # the decone chart of the Fox oracle sweeps its mapped affine points
+        dec = decone(inst.arrangement, inst.system, k % inst.arrangement.n)
+        got = [(xy, tuple(sorted(wires))) for xy, wires in dec.crossings]
+        assert got == _affine(_reintersect(dec.lines)), (k, dec.lines)
+        frames += 1
     assert frames >= 400
 
 
@@ -335,8 +337,7 @@ def test_sharp_pairs_quadrilateral_brute_force(quadrilateral):
 
 
 def test_sharp_pairs_match_pair_component_labels():
-    # the one-sign-table sharp_pairs against the per-pair labels used by the
-    # adapted frames
+    # the one-sign-table sharp_pairs against the per-pair labels
     insts = corpus(20240810, 100) + corpus(7, 100) + sharp_corpus(3, 100)
     for k, inst in enumerate(insts):
         arr = inst.arrangement
@@ -364,31 +365,3 @@ def test_adapted_single_frame(quadrilateral):
                 assert l.slope > 0
         assert all(p.y >= 0 for p in out.points)
         assert incidence_signature(out) == incidence_signature(quadrilateral)
-
-
-def test_adapted_pair_frame(quadrilateral):
-    pairs = sharp_pairs(quadrilateral)
-    done = 0
-    for l0, l0p in pairs:
-        out, rec = normalize(quadrilateral, SharpPairAdapted(l0, l0p), seed=2)
-        assert (out.lines[l0].a, out.lines[l0].b, out.lines[l0].c) == (0, 1, 0)
-        assert (out.lines[l0p].a, out.lines[l0p].b, out.lines[l0p].c) == (1, -1, 0)
-        for l in out.lines:
-            assert 0 <= l.slope <= 1
-        for p in out.points:
-            assert (p.y == 0 and p.x <= 0) or (p.x >= p.y > 0)
-        done += 1
-    assert done == len(pairs)
-
-
-def test_adapted_pair_rejects_non_sharp(quadrilateral):
-    from arrhom.errors import NormalizationFailed
-
-    non_sharp = [
-        (i, j)
-        for i, j in itertools.combinations(range(6), 2)
-        if (i, j) not in sharp_pairs(quadrilateral)
-    ]
-    assert non_sharp
-    with pytest.raises(NormalizationFailed):
-        normalize(quadrilateral, SharpPairAdapted(*non_sharp[0]), seed=0)

@@ -5,6 +5,7 @@ Each check is made to fail by injecting a fault into the data it guards.
 
 import ast
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -82,17 +83,14 @@ def test_decone_checks_the_monodromy_at_infinity(quadrilateral, quadrilateral_sy
         fox.decone(quadrilateral, quadrilateral_system, 0)
 
 
-def test_wiring_diagram_checks_crossing_wires_are_adjacent(
-    quadrilateral, quadrilateral_system, monkeypatch
-):
+def test_wiring_diagram_checks_crossing_wires_are_adjacent(quadrilateral, quadrilateral_system):
     # one crossing event of the bottom and the top wire, with wires between
     dec = fox.decone(quadrilateral, quadrilateral_system, 0)
     order = fox.wiring_diagram(dec).initial_order
     assert len(order) >= 3
-    far_apart = {(Fraction(0), Fraction(0)): (order[0], order[-1])}
-    monkeypatch.setattr(fox, "_affine_crossings", lambda lines: far_apart)
+    far_apart = replace(dec, crossings=(((Fraction(0), Fraction(0)), (order[0], order[-1])),))
     with pytest.raises(InvariantError, match="not adjacent"):
-        fox.wiring_diagram(dec)
+        fox.wiring_diagram(far_apart)
 
 
 def test_cyclotomic_polynomial_checks_exact_division(monkeypatch):

@@ -2,7 +2,7 @@
 
 h1, the chambers, the resonant set and the sharp pairs are computed once per
 frame and handed to the checks, and the intersection points once per input:
-every other frame maps them.  Each counted function is wrapped wherever
+every other frame, the Fox oracle's chart included, maps them.  Each counted function is wrapped wherever
 its object is bound (``from .geometry import chambers`` copies the binding
 into the importing module), so calls from every module are seen.
 """
@@ -13,11 +13,12 @@ from collections import Counter
 
 import pytest
 
-from arrhom import cyclo, fox, fuzz, geometry, homology
+from arrhom import bounds, cyclo, fox, fuzz, geometry, homology
 from arrhom.cli import main
 from arrhom.cyclo import CycloNumber
 from arrhom.fuzz import run_trial
-from arrhom.geometry import Arrangement
+from arrhom.geometry import Arrangement, Line
+from arrhom.local_system import LocalSystem
 from conftest import GRID_LINES, QUADRILATERAL_LINES
 
 TRACKED = {
@@ -41,17 +42,22 @@ def _rebind(monkeypatch, original, wrapper):
                 monkeypatch.setattr(mod, key, wrapper)
 
 
+def _track(monkeypatch, counter, name, owner, attr):
+    """Count the calls of ``owner.attr`` under ``name``, from every module."""
+    original = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        counter[name] += 1
+        return original(*args, **kwargs)
+
+    _rebind(monkeypatch, original, wrapper)
+
+
 @pytest.fixture
 def calls(monkeypatch):
     counter = Counter()
     for name, (owner, attr) in TRACKED.items():
-        original = getattr(owner, attr)
-
-        def wrapper(*args, _fn=original, _name=name, **kwargs):
-            counter[_name] += 1
-            return _fn(*args, **kwargs)
-
-        _rebind(monkeypatch, original, wrapper)
+        _track(monkeypatch, counter, name, owner, attr)
     return counter
 
 
@@ -106,6 +112,39 @@ def test_trials_intersect_each_input_once(calls):
         arr = Arrangement(inst.arrangement.lines)
         run_trial(arr, inst.system, seed=i, all_decones=arr.n <= 5, with_certificate=True, extra_seeds=1)
     assert calls["intersections"] == len(insts)
+
+
+def test_one_certificate_runs_at_most_three_ranks(monkeypatch, quadrilateral, quadrilateral_system):
+    # the relation rows, the rows with every member appended, the beta family
+    ranks = Counter()
+    _track(monkeypatch, ranks, "rank", cyclo, "rank")
+    for l0 in range(quadrilateral.n):
+        ranks.clear()
+        cert = bounds.beta_certificate(quadrilateral, quadrilateral_system, l0)
+        assert cert.ok and cert.betas
+        assert ranks["rank"] <= 3
+
+
+def test_oracle_maps_one_chart_and_intersects_nothing(calls, monkeypatch, generic_triangle):
+    charts = Counter()
+    _track(monkeypatch, charts, "transform", geometry, "transform")
+    grid = Arrangement([Line.from_coeffs(*l) for l in GRID_LINES])
+    grid_system = LocalSystem(order=3, exponents=[1] * 9)
+    grid.points, generic_triangle.points  # the input's points, intersected once
+    calls.clear()
+    for lid in range(grid.n):  # every grid chart has a vertical line before its shear
+        charts.clear()
+        assert fox.oracle_h1(grid, grid_system, lid) == 1
+        assert charts["transform"] == 2
+    # decone the triangle y = 0, y = x - 2, y = 3 - x along y = x - 2: the
+    # chart (X : Y : X - Y - 2Z) has the lines y = 0 and -x + 5y + 3 = 0,
+    # neither vertical, so no shear follows the first map
+    ls = LocalSystem(order=3, exponents=[1, 1, 1])
+    charts.clear()
+    assert fox.oracle_h1(generic_triangle, ls, 1) == 0
+    assert charts["transform"] == 1
+    assert fox.decone(generic_triangle, ls, 1).lines == (Line(0, 1, 0), Line.from_coeffs(-1, 5, 3))
+    assert calls["intersections"] == 0
 
 
 def test_grid_report_does_no_power_basis_reduction_on_the_hot_path(monkeypatch, tmp_path, capsys):
