@@ -5,9 +5,7 @@ Fox-calculus cross-check."""
 from .cyclo import CycloNumber, cyclotomic_polynomial, rank
 from .geometry import (
     Arrangement,
-    Basic,
     Line,
-    SharpPairAdapted,
     chambers,
     euler_characteristic,
     intersections,
@@ -21,11 +19,9 @@ from .fox import decone, oracle_h1
 
 __all__ = [
     "Arrangement",
-    "Basic",
     "CycloNumber",
     "Line",
     "LocalSystem",
-    "SharpPairAdapted",
     "beta_certificate",
     "cdo_bound",
     "chambers",

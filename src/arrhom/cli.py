@@ -26,7 +26,7 @@ from .errors import (
 )
 from .fox import oracle_h1
 from .fuzz import corpus, run_trial, sharp_corpus
-from .geometry import Basic, normalize, sharp_pairs
+from .geometry import normalize, sharp_pairs
 from .io import build_report, dump_instance, parse_instance, report_to_json
 from .local_system import LocalSystem
 from .render import render_svg
@@ -126,7 +126,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_render(args) -> int:
     arr, system = _read_instance(args.input)
-    narr, _rec = normalize(arr, Basic(), _seed(args))
+    narr, _rec = normalize(arr, _seed(args))
     svg = render_svg(narr, system)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -348,8 +348,9 @@ def run_trial(
     if with_certificate and not pencil:
         for lid in range(arr.n):
             try:
-                cert = beta_certificate(arr, system, lid, seed)
-            except NormalizationFailed:
+                cert = beta_certificate(narr, system, lid)
+            except NormalizationFailed as exc:
+                violations.append(f"no adapted frame along line {lid}: {exc}")
                 continue
             if not cert.ok:
                 violations.append(f"neighbor certificate failed along line {lid}")

@@ -4,9 +4,10 @@ Lines live in the real projective plane and are stored as primitive integer
 covectors (a, b, c) for a*x + b*y + c*z = 0.  Intersection points are exact
 projective points; an arrangement is *normalized* when every line has a
 finite slope, slopes are pairwise distinct and every intersection point is
-affine.  Normalization is a seeded search over rational projective maps with
-full verification of the target assumption profile, so failures are loud and
-reproducible rather than silent.
+affine.  Normalization is a seeded search over rational projective maps,
+verified in full, so failures are loud and reproducible rather than silent.
+The adapted frame of a neighbor certificate is one further projective map of
+a normalized frame, which always exists (see :func:`adapted_frame`).
 
 Every frame is a projective image of the input, and the input's points are
 intersected once.  :func:`transform` scales the map to an integer matrix N,
@@ -43,12 +44,11 @@ from .errors import (
 
 __all__ = [
     "Arrangement",
-    "Basic",
     "Chamber",
     "IntersectionPoint",
     "Line",
     "NormalizationRecord",
-    "SharpPairAdapted",
+    "adapted_frame",
     "chambers",
     "euler_characteristic",
     "incidence_signature",
@@ -373,24 +373,7 @@ def transform(arr: Arrangement, M) -> Arrangement:
 
 
 # ---------------------------------------------------------------------------
-# normalization profiles
-
-
-@dataclass(frozen=True)
-class Basic:
-    """Target: all intersection points affine, slopes distinct and finite."""
-
-
-@dataclass(frozen=True)
-class SharpPairAdapted:
-    """Half-plane adapted frame along ``l0``.
-
-    The target is: l0 = {y = 0}, all other slopes distinct positive, every
-    intersection point has y >= 0 (the chosen line at infinity forms a sharp
-    pair with l0 in the extended arrangement).
-    """
-
-    l0: int
+# normalized frames
 
 
 @dataclass(frozen=True)
@@ -399,7 +382,6 @@ class NormalizationRecord:
 
     matrix: tuple  # 3x3 Fractions, acting on points
     seed: int
-    profile: str
 
     @property
     def l_inf(self) -> Line:
@@ -413,14 +395,6 @@ class NormalizationRecord:
         return mat_inverse(self.matrix)
 
 
-def _is_basic(arr: Arrangement) -> bool:
-    return arr.is_normalized
-
-
-def _line_through_point(line: Line, coords) -> bool:
-    return line.hom_eval(*coords) == 0
-
-
 def _shear_x(t):
     # x -> x + t*y
     return (
@@ -430,17 +404,8 @@ def _shear_x(t):
     )
 
 
-def _shear_to_x_axis(s, b0):
-    # y -> y - s*x - b0, mapping the line y = s*x + b0 onto y = 0
-    return (
-        (Fraction(1), Fraction(0), Fraction(0)),
-        (-Fraction(s), Fraction(1), -Fraction(b0)),
-        (Fraction(0), Fraction(0), Fraction(1)),
-    )
-
-
 def _normalize_basic(arr: Arrangement, rng: random.Random, retries: int = 64):
-    if _is_basic(arr):
+    if arr.is_normalized:
         return arr, mat_identity()
     pts = arr.points
     has_infinite = any(p.is_infinite for p in pts)
@@ -451,7 +416,7 @@ def _normalize_basic(arr: Arrangement, rng: random.Random, retries: int = 64):
             bound = 3 + attempt
             u, v = rng.randint(-bound, bound), rng.randint(-bound, bound)
             w = Line.from_coeffs(u, v, 1)
-            if any(_line_through_point(w, p.coords) for p in pts):
+            if any(w.hom_eval(*p.coords) == 0 for p in pts):
                 continue
             if w in arr.lines:
                 continue
@@ -467,7 +432,7 @@ def _normalize_basic(arr: Arrangement, rng: random.Random, retries: int = 64):
                 t = Fraction(rng.randint(1, 8 * t_try), rng.randint(1, 5)) * rng.choice((1, -1))
             M = mat_mul(_shear_x(t), M1)
             cand = transform(arr, M)
-            if _is_basic(cand):
+            if cand.is_normalized:
                 return cand, M
     raise NormalizationFailed(
         f"basic normalization failed after {retries} attempts", seed=None
@@ -505,45 +470,48 @@ def sharp_pairs(arr: Arrangement) -> list:
     return out
 
 
-def _adapted_single(arr: Arrangement, l0: int, rng: random.Random):
-    """Frame with l0 = {y=0}, slopes distinct positive, all points above.
+def adapted_frame(narr: Arrangement, l0: int) -> Arrangement:
+    """The frame with l0 = {y = 0}, other slopes distinct positive, no point below l0.
 
-    Always constructible: a line parallel to l0, closer to it than any
-    intersection point off l0, is sent to infinity; both half-planes next to
-    l0 are empty strips, so the far side ends up without points.
+    ``narr`` is a normalized arrangement, and the frame is one projective map
+    of it.  With l0 the line y = s x + b0, put y' = y - s x - b0, which is
+    ``line0.q``; eps is half the least |y'| over the points off l0.  The map
+    M3 sends (x : y : 1) to (x : y' : y' + eps), so it sends the line
+    y' = -eps, parallel to l0, to infinity.  That frame always exists:
+
+    - no other line passes through l0's point at infinity, since a
+      normalized arrangement has no parallel lines, so no line becomes
+      parallel to l0 and none is sent to infinity;
+    - no point lies on y' = -eps, since |y'| >= 2 eps off l0, so every point
+      stays affine and no two other lines become parallel;
+    - y' / (y' + eps) > 0 when |y'| >= 2 eps, so every point off l0 lies
+      above the new l0.
+
+    The shear x -> x + beta y then makes every other slope positive: on
+    u = 1/slope it acts as u -> u + beta, and it keeps y.  beta is read from
+    the lines alone, mapped by adj(N3) for N3 the integer multiple of M3.
     """
-    arr1, M1 = _normalize_basic(arr, rng)
-    line0 = arr1.lines[l0]
-    M2 = mat_mul(_shear_to_x_axis(line0.slope, line0.intercept), M1)
-    arr2 = transform(arr, M2)
-    off = [abs(p.y) for p in arr2.points if p.y != 0]
+    if not narr.is_normalized:
+        raise NotNormalized("the adapted frame is built from a normalized arrangement")
+    line0 = narr.lines[l0]
+    s, b0 = line0.slope, line0.intercept
+    off = [abs(line0.q(p.x, p.y)) for p in narr.points if l0 not in p.line_ids]
     eps = min(off) / 2 if off else Fraction(1)
-    # send the line y = -eps to infinity
-    M3 = mat_mul(
-        (
-            (Fraction(1), Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(1), Fraction(eps)),
-        ),
-        M2,
+    M3 = (
+        (Fraction(1), Fraction(0), Fraction(0)),
+        (-s, Fraction(1), -b0),
+        (-s, Fraction(1), eps - b0),
     )
-    arr3 = transform(arr, M3)
-    # make every slope other than l0's positive: on u = 1/slope the available
-    # shears act as u -> u + beta, and verticals sit at u = 0
-    us = []
-    for i, l in enumerate(arr3.lines):
-        if i == l0:
-            continue
-        if l.a == 0:
-            raise NormalizationFailed("unexpected line parallel to the base line")
-        us.append(Fraction(-l.b, l.a))
-    beta = Fraction(0)
-    if us and min(us) <= 0:
-        beta = 1 - min(us)
-    M4 = mat_mul(_shear_x(beta), M3)
-    out = transform(arr, M4)
+    adj = _adjugate(_integer_matrix(M3)[0])
+    us = []  # u = -b/a of each other line l adj(N3); a != 0, as none is parallel to l0
+    for i, l in enumerate(narr.lines):
+        if i != l0:
+            a, b = (l.a * adj[0][j] + l.b * adj[1][j] + l.c * adj[2][j] for j in range(2))
+            us.append(Fraction(-b, a))
+    beta = 1 - min(us) if us and min(us) <= 0 else Fraction(0)
+    out = transform(narr, mat_mul(_shear_x(beta), M3))
     _verify_adapted_single(out, l0)
-    return out, M4
+    return out
 
 
 def _verify_adapted_single(arr: Arrangement, l0: int):
@@ -564,24 +532,16 @@ def _verify_adapted_single(arr: Arrangement, l0: int):
             raise NormalizationFailed("intersection point below the base line")
 
 
-def normalize(arr: Arrangement, profile=Basic(), seed: int = 0):
-    """Return an equivalent arrangement satisfying the requested profile.
+def normalize(arr: Arrangement, seed: int = 0):
+    """Return an equivalent normalized arrangement and the map that made it.
 
-    The returned record holds the exact 3x3 rational point map, the seed and
-    the profile, and allows exact inverse mapping.  Incidences are preserved,
-    since every frame maps the input's points (checked in :func:`transform`);
-    line indices are unchanged.
+    The returned record holds the exact 3x3 rational point map and the seed,
+    and allows exact inverse mapping.  Incidences are preserved, since every
+    frame maps the input's points (checked in :func:`transform`); line
+    indices are unchanged.
     """
-    rng = random.Random(seed)
-    if isinstance(profile, Basic):
-        out, M = _normalize_basic(arr, rng)
-        name = "basic"
-    elif isinstance(profile, SharpPairAdapted):
-        out, M = _adapted_single(arr, profile.l0, rng)
-        name = f"adapted(l0={profile.l0})"
-    else:
-        raise TypeError(f"unknown profile {profile!r}")
-    return out, NormalizationRecord(M, seed, name)
+    out, M = _normalize_basic(arr, random.Random(seed))
+    return out, NormalizationRecord(M, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .cyclo import rank, rank_float, to_complex_matrix
 from .errors import InvariantError, NotNormalized, NotResonant, UnboundedChamber
 from .geometry import (
     Arrangement,
-    Basic,
     Chamber,
     NormalizationRecord,
     chambers,
@@ -226,7 +225,7 @@ def h1(arr: Arrangement, system: LocalSystem, seed: int = 0) -> HomologyReport:
     system.require_admissible(arr)
     if arr.n < 2:
         raise ValueError("need an arrangement of at least 2 lines")
-    narr, record = normalize(arr, Basic(), seed)
+    narr, record = normalize(arr, seed)
     resonant = resonant_points(narr, system)
     cells = chambers(narr)
     basis, rows = relation_matrix(narr, system, resonant, cells)

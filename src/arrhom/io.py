@@ -141,7 +141,7 @@ def _record_dict(record) -> dict:
     return {
         "matrix": [[rational_str(v) for v in row] for row in record.matrix],
         "seed": record.seed,
-        "profile": record.profile,
+        "profile": "basic",
         "l_inf": [record.l_inf.a, record.l_inf.b, record.l_inf.c],
     }
 
@@ -248,7 +248,7 @@ def build_report(
         certs = []
         for lid in range(arr.n):
             try:
-                cert = beta_certificate(arr, system, lid, seed)
+                cert = beta_certificate(narr, system, lid)
             except (NormalizationFailed, PencilNotCovered) as exc:
                 certs.append({"line": lid, "status": f"unavailable: {exc}"})
                 continue

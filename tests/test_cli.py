@@ -5,7 +5,7 @@ import pytest
 
 from arrhom.cli import main
 from arrhom.cyclo import MAX_ORDER
-from arrhom.geometry import Basic, Line, mat_apply_point, normalize
+from arrhom.geometry import Line, mat_apply_point, normalize
 from arrhom.io import parse_instance, parse_rational, rational_str
 from arrhom.errors import ParseError
 
@@ -79,7 +79,7 @@ def test_normalization_record_roundtrip(a3_file, capsys):
     matrix = tuple(
         tuple(Fraction(v) for v in row) for row in report["normalization"]["matrix"]
     )
-    narr, rec = normalize(arr, Basic(), seed=3)
+    narr, rec = normalize(arr, seed=3)
     assert matrix == rec.matrix
     # applying the recorded map to the input reproduces the reported points
     reported = {

@@ -12,10 +12,10 @@ from arrhom.fox import decone
 from arrhom.fuzz import corpus, sharp_corpus
 from arrhom.geometry import (
     Arrangement,
-    Basic,
     Line,
-    SharpPairAdapted,
     _pair_component_labels,
+    _verify_adapted_single,
+    adapted_frame,
     chambers,
     euler_characteristic,
     incidence_signature,
@@ -87,20 +87,20 @@ def test_intersections_quadrilateral(quadrilateral):
 
 
 def test_normalize_identity_when_already_normalized(generic_triangle):
-    out, rec = normalize(generic_triangle, Basic(), seed=3)
+    out, rec = normalize(generic_triangle, seed=3)
     assert rec.matrix == mat_identity()
     assert out.lines == generic_triangle.lines
 
 
 def test_normalize_removes_vertical():
     arr = Arrangement([Line.from_coeffs(1, 0, 0), Line.from_slope_intercept(1, 1)])
-    out, rec = normalize(arr, Basic(), seed=0)
+    out, rec = normalize(arr, seed=0)
     assert out.is_normalized
     assert incidence_signature(out) == incidence_signature(arr)
 
 
 def test_normalize_quadrilateral_preserves_poset(quadrilateral):
-    out, rec = normalize(quadrilateral, Basic(), seed=0)
+    out, rec = normalize(quadrilateral, seed=0)
     assert out.is_normalized
     assert incidence_signature(out) == incidence_signature(quadrilateral)
     # the record reproduces the output exactly
@@ -121,7 +121,7 @@ def test_normalize_random_projective_images(quadrilateral, seed):
         except ValueError:
             continue
     moved = transform(quadrilateral, M)
-    out, _rec = normalize(moved, Basic(), seed=seed)
+    out, _rec = normalize(moved, seed=seed)
     assert out.is_normalized
     assert incidence_signature(out) == incidence_signature(quadrilateral)
 
@@ -167,8 +167,9 @@ def _frames(arr, seed):
         if mat_det(M) != 0:
             yield transform(arr, M)
             break
-    yield normalize(arr, Basic(), seed)[0]
-    yield normalize(arr, SharpPairAdapted(seed % arr.n), seed)[0]
+    basic = normalize(arr, seed)[0]
+    yield basic
+    yield adapted_frame(basic, seed % arr.n)
 
 
 def _affine(points):
@@ -217,7 +218,7 @@ def test_chambers_requires_normalized(quadrilateral):
 
 
 def test_chambers_quadrilateral(quadrilateral):
-    narr, _ = normalize(quadrilateral, Basic(), seed=0)
+    narr, _ = normalize(quadrilateral, seed=0)
     chs = chambers(narr)
     assert sum(c.bounded for c in chs) == 6
     assert len(chs) == 18
@@ -228,7 +229,7 @@ def test_chamber_sample_points_interior(quadrilateral):
     # points computed here from the vertices alone: the centroid of a bounded
     # chamber, and points just off each edge at a vertex; exactly two edges at
     # every vertex border the chamber, and the points there carry its signs
-    narr, _ = normalize(quadrilateral, Basic(), seed=0)
+    narr, _ = normalize(quadrilateral, seed=0)
     for ch in chambers(narr):
         assert 0 not in ch.signs
         for pid in ch.vertex_ids:
@@ -246,7 +247,7 @@ def test_chamber_vertex_cycles_are_ccw_polygons(seed):
     from arrhom.fuzz import random_arrangement
 
     rng = random.Random(seed)
-    narr, _ = normalize(random_arrangement(rng, rng.randint(4, 8)), Basic(), seed=seed)
+    narr, _ = normalize(random_arrangement(rng, rng.randint(4, 8)), seed=seed)
     for ch in chambers(narr):
         verts = [narr.points[v] for v in ch.vertex_ids]
         pairs = list(zip(verts, verts[1:] + verts[:1] if ch.bounded else verts[1:]))
@@ -258,7 +259,7 @@ def test_chamber_vertex_cycles_are_ccw_polygons(seed):
 
 
 def test_chamber_boundary_edges_consistent(quadrilateral):
-    narr, _ = normalize(quadrilateral, Basic(), seed=0)
+    narr, _ = normalize(quadrilateral, seed=0)
     chs = chambers(narr)
     total_edges = sum(len(narr.points_on_line(i)) + 1 for i in range(narr.n))
     # every segment or ray borders exactly two chambers
@@ -276,7 +277,7 @@ def test_chambers_randomized_zaslavsky(seed):
 
     rng = random.Random(seed)
     arr = random_arrangement(rng, rng.randint(3, 7))
-    narr, _ = normalize(arr, Basic(), seed=seed)
+    narr, _ = normalize(arr, seed=seed)
     chs = chambers(narr)
     assert sum(c.bounded for c in chs) == zaslavsky_bounded_count(narr)
     total_edges = sum(len(narr.points_on_line(i)) + 1 for i in range(narr.n))
@@ -291,7 +292,7 @@ def test_incidence_poset_invariant_under_normalize(seed):
 
     rng = random.Random(seed)
     arr = random_arrangement(rng, rng.randint(2, 6))
-    out, _rec = normalize(arr, Basic(), seed=seed)
+    out, _rec = normalize(arr, seed=seed)
     assert out.is_normalized
     assert incidence_signature(out) == incidence_signature(arr)
 
@@ -303,7 +304,7 @@ def test_bounded_count_matches_zaslavsky(seed):
 
     rng = random.Random(seed)
     arr = random_arrangement(rng, rng.randint(3, 7))
-    narr, _ = normalize(arr, Basic(), seed=seed)
+    narr, _ = normalize(arr, seed=seed)
     assert sum(c.bounded for c in chambers(narr)) == zaslavsky_bounded_count(narr)
 
 
@@ -356,8 +357,9 @@ def test_euler_characteristic_examples(quadrilateral, generic_triangle):
 
 
 def test_adapted_single_frame(quadrilateral):
+    narr = normalize(quadrilateral, seed=1)[0]
     for l0 in range(6):
-        out, rec = normalize(quadrilateral, SharpPairAdapted(l0), seed=1)
+        out = adapted_frame(narr, l0)
         line0 = out.lines[l0]
         assert (line0.a, line0.b, line0.c) == (0, 1, 0)
         for i, l in enumerate(out.lines):
@@ -365,3 +367,25 @@ def test_adapted_single_frame(quadrilateral):
                 assert l.slope > 0
         assert all(p.y >= 0 for p in out.points)
         assert incidence_signature(out) == incidence_signature(quadrilateral)
+
+
+def test_adapted_frame_needs_a_normalized_arrangement(quadrilateral):
+    with pytest.raises(NotNormalized):
+        adapted_frame(quadrilateral, 0)
+
+
+def test_adapted_frame_exists_along_every_line():
+    # one projective map of the basic frame, never a search: it must exist
+    # for every line of every instance with more than one point
+    insts = corpus(20240810, 150) + corpus(7, 150) + sharp_corpus(3, 100)
+    frames = 0
+    for k, inst in enumerate(insts):
+        if len(inst.arrangement.points) <= 1:
+            continue
+        narr = normalize(inst.arrangement, k)[0]
+        for l0 in range(narr.n):
+            out = adapted_frame(narr, l0)
+            _verify_adapted_single(out, l0)
+            assert incidence_signature(out) == incidence_signature(narr), (k, l0)
+            frames += 1
+    assert frames >= 2000

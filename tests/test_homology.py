@@ -6,7 +6,7 @@ import pytest
 from arrhom.cyclo import CycloNumber
 from arrhom.errors import NotAdjacent, NotResonant, UnboundedChamber
 from arrhom.fuzz import random_arrangement, resonant_system
-from arrhom.geometry import Arrangement, Basic, Line, chambers, normalize, transform
+from arrhom.geometry import Arrangement, Line, chambers, normalize, transform
 from arrhom.homology import (
     angle_basis,
     chamber_row,
@@ -26,7 +26,7 @@ ONE = CycloNumber.one(3)
 
 
 def _normalized_quadrilateral(quadrilateral, seed=0):
-    return normalize(quadrilateral, Basic(), seed)[0]
+    return normalize(quadrilateral, seed)[0]
 
 
 def test_angle_basis_empty(generic_triangle):
@@ -118,7 +118,7 @@ def test_corner_data_matches_sampled_directions(seed):
     while True:
         arr = random_arrangement(rng, rng.randint(4, 8))
         system = resonant_system(rng, arr, rng.randint(2, 6))
-        narr, _ = normalize(arr, Basic(), seed)
+        narr, _ = normalize(arr, seed)
         res = resonant_points(narr, system)
         if res.point_ids:
             break

@@ -15,7 +15,7 @@ import arrhom
 from arrhom import bounds, cyclo, fox, geometry
 from arrhom.cli import main
 from arrhom.errors import ArrhomError, InvariantError
-from arrhom.geometry import Basic, IntersectionPoint, normalize
+from arrhom.geometry import IntersectionPoint, normalize
 from arrhom.homology import angle_basis, point_rows
 from arrhom.local_system import LocalSystem, ResonantSet
 
@@ -39,7 +39,7 @@ def test_invariant_error_is_a_package_error():
 def test_point_rows_checks_the_resonance_product(quadrilateral, quadrilateral_system, monkeypatch):
     # a double point posing as resonant: its monodromy product is w^2, not 1
     monkeypatch.setattr(quadrilateral_system, "is_resonant_at", lambda p: True)
-    narr, _ = normalize(quadrilateral, Basic(), 0)
+    narr, _ = normalize(quadrilateral, 0)
     double = next(p.index for p in narr.points if p.multiplicity == 2)
     basis = angle_basis(narr, ResonantSet((double,), ()))
     with pytest.raises(InvariantError, match="product at resonant point"):
@@ -59,22 +59,22 @@ def test_beta_certificate_checks_the_base_line_is_slope_minimal(
 
     monkeypatch.setattr(bounds, "relation_matrix", reversed_basis)
     with pytest.raises(InvariantError, match="slope-minimal"):
-        bounds.beta_certificate(quadrilateral, quadrilateral_system, 0)
+        bounds.beta_certificate(normalize(quadrilateral, 0)[0], quadrilateral_system, 0)
 
 
 def test_beta_certificate_checks_each_line_has_a_lowest_point(
     quadrilateral, quadrilateral_system, monkeypatch
 ):
-    real = bounds.normalize
+    real = bounds.adapted_frame
 
-    def without_points_off_base(arr, profile, seed):
-        narr, record = real(arr, profile, seed)
-        narr._points = [p for p in narr.points if profile.l0 in p.line_ids]
-        return narr, record
+    def without_points_off_base(narr, l0):
+        frame = real(narr, l0)
+        frame._points = [p for p in frame.points if l0 in p.line_ids]
+        return frame
 
-    monkeypatch.setattr(bounds, "normalize", without_points_off_base)
+    monkeypatch.setattr(bounds, "adapted_frame", without_points_off_base)
     with pytest.raises(InvariantError, match="no unique lowest point"):
-        bounds.beta_certificate(quadrilateral, quadrilateral_system, 0)
+        bounds.beta_certificate(normalize(quadrilateral, 0)[0], quadrilateral_system, 0)
 
 
 def test_decone_checks_the_monodromy_at_infinity(quadrilateral, quadrilateral_system, monkeypatch):
@@ -118,7 +118,7 @@ def test_transform_checks_each_mapped_point_lies_on_its_lines(quadrilateral, mon
     # projective change that maps all seven points
     _perturb_mapped_point(monkeypatch, which)
     with pytest.raises(InvariantError, match="mapped point .* lies on lines"):
-        normalize(quadrilateral, Basic(), 0)
+        normalize(quadrilateral, 0)
 
 
 def test_transform_checks_mapped_points_are_distinct(quadrilateral):

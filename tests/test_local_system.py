@@ -1,7 +1,7 @@
 import pytest
 
 from arrhom.errors import NotALocalSystem, TrivialOnLine
-from arrhom.geometry import Arrangement, Basic, Line, normalize
+from arrhom.geometry import Arrangement, Line, normalize
 from arrhom.local_system import LocalSystem, resonant_points
 from conftest import pencil
 
@@ -78,7 +78,7 @@ def test_near_pencil_order_four_not_resonant():
 
 def test_resonance_invariant_under_normalization(quadrilateral, quadrilateral_system):
     res0 = resonant_points(quadrilateral, quadrilateral_system)
-    narr, _ = normalize(quadrilateral, Basic(), seed=11)
+    narr, _ = normalize(quadrilateral, seed=11)
     res1 = resonant_points(narr, quadrilateral_system)
     key0 = sorted(tuple(sorted(quadrilateral.points[p].line_ids)) for p in res0.point_ids)
     key1 = sorted(tuple(sorted(narr.points[p].line_ids)) for p in res1.point_ids)

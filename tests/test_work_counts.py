@@ -114,13 +114,41 @@ def test_trials_intersect_each_input_once(calls):
     assert calls["intersections"] == len(insts)
 
 
+def test_a_certificate_maps_the_basic_frame_once(calls, monkeypatch, quadrilateral_system):
+    # the adapted frame is one projective map of the report's basic frame:
+    # no normalization search and no intersection of lines
+    transforms = Counter()
+    _track(monkeypatch, transforms, "transform", geometry, "transform")
+    grid = Arrangement([Line.from_coeffs(*l) for l in GRID_LINES])
+    grid_system = LocalSystem(order=3, exponents=[1] * 9)
+    for arr, system in ((Arrangement(QUADRILATERAL_LINES), quadrilateral_system), (grid, grid_system)):
+        narr = homology.h1(arr, system).arrangement
+        for l0 in range(narr.n):
+            calls.clear()
+            transforms.clear()
+            assert bounds.beta_certificate(narr, system, l0).ok
+            assert transforms["transform"] == 1
+            assert calls["normalize"] == 0 and calls["intersections"] == 0
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_trial_normalizes_three_times_whatever_n(calls, n):
+    # exact, float and one reseeded frame; the certificates normalize nothing
+    inst = fuzz.corpus(11, 1, n_range=(n, n))[0]
+    calls.clear()
+    result = run_trial(inst.arrangement, inst.system, all_decones=True, with_certificate=True, extra_seeds=1)
+    assert result.ok, result.violations
+    assert calls["normalize"] == 3
+
+
 def test_one_certificate_runs_at_most_three_ranks(monkeypatch, quadrilateral, quadrilateral_system):
     # the relation rows, the rows with every member appended, the beta family
     ranks = Counter()
     _track(monkeypatch, ranks, "rank", cyclo, "rank")
-    for l0 in range(quadrilateral.n):
+    narr = geometry.normalize(quadrilateral, 0)[0]
+    for l0 in range(narr.n):
         ranks.clear()
-        cert = bounds.beta_certificate(quadrilateral, quadrilateral_system, l0)
+        cert = bounds.beta_certificate(narr, quadrilateral_system, l0)
         assert cert.ok and cert.betas
         assert ranks["rank"] <= 3
 
