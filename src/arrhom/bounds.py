@@ -89,13 +89,6 @@ def _vec_add(acc, vec, scale):
     return acc
 
 
-def _vec_dense(vec, dim, zero):
-    row = [zero] * dim
-    for col, val in vec.items():
-        row[col] = val
-    return row
-
-
 def beta_certificate(narr: Arrangement, system: LocalSystem, l0: int) -> BetaCertificate:
     """Build and verify the neighbor certificate along one line.
 
@@ -131,7 +124,6 @@ def beta_certificate(narr: Arrangement, system: LocalSystem, l0: int) -> BetaCer
         neighbors[lid] = qs[0].index
     n_points = sorted(set(neighbors.values()))
 
-    zero = one - one
     betas = []
     extra = []
     for qid in n_points:
@@ -164,11 +156,11 @@ def beta_certificate(narr: Arrangement, system: LocalSystem, l0: int) -> BetaCer
 
     # span(R + S) = span(R) exactly when S lies in span(R): one rank test
     # covers every beta vector and every nonzero extra member
-    dense_rel = [r.dense(basis, zero) for r in rel_rows]
-    beta_rows = [_vec_dense(vec, basis.dim, zero) for _q, _f, vec in betas]
-    members = beta_rows + [_vec_dense(diff, basis.dim, zero) for _q, diff in extra if any(diff.values())]
-    all_in = not members or rank(dense_rel + members) == rank(dense_rel)
-    family_rank = rank(beta_rows) if beta_rows and basis.dim else 0
+    rel = [r.coeffs for r in rel_rows]
+    beta_rows = [vec for _q, _f, vec in betas]
+    members = beta_rows + [diff for _q, diff in extra if any(diff.values())]
+    all_in = not members or rank(rel + members) == rank(rel)
+    family_rank = rank(beta_rows)
     n_n = len(n_points)
     counting_ok = n_n >= len(a_prime) - len(r0) + 1 if r0 else True
     return BetaCertificate(

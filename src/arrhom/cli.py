@@ -158,6 +158,8 @@ def _check_fuzz_args(args) -> None:
     fewest = 3 if args.sharp_only else 2  # a sharp pair needs a non-pencil
     if args.trials < 0:
         raise ParseError(f"must be at least 0, got {args.trials}", "--trials")
+    if args.jobs < 1:
+        raise ParseError(f"must be at least 1, got {args.jobs}", "--jobs")
     if args.lines and args.lines < fewest:
         raise ParseError(f"must be 0 (any) or at least {fewest}, got {args.lines}", "--lines")
     if not args.lines and args.max_lines < 3:
@@ -184,9 +186,11 @@ def _cmd_fuzz(args) -> int:
         (inst.label, seed + i, dump_instance(inst.arrangement, inst.system))
         for i, inst in enumerate(instances)
     ]
-    results = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a process pool may start all its workers at the first submit; results
+    # come back in order, so the output does not depend on the pool size
+    workers = min(args.jobs, args.trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fuzz_one, payloads))
     else:
         results = [_fuzz_one(p) for p in payloads]

@@ -28,10 +28,12 @@ each entry counted as that l1 norm.  Once the distinct primes used multiply
 to more than H^phi(d), one of them reached r, so the largest rank seen is
 exact.
 
-A floating-point fallback exists for monodromy values that are not roots of
-unity: matrices of plain ``complex`` numbers are eliminated with partial
-pivoting and a relative tolerance.  A matrix must be all-exact or all-float;
-mixtures raise :class:`~arrhom.errors.ModeMismatch`.
+A row is a map from column to value, as its builder made it; an absent
+entry is zero.  A floating-point fallback exists for monodromy values that
+are not roots of unity: rows of ``complex`` numbers fill a dense matrix over
+the columns that occur, eliminated with partial pivoting and a relative
+tolerance.  Rows must be all-exact or all-float; mixtures raise
+:class:`~arrhom.errors.ModeMismatch`.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "rank_exact",
     "rank_float",
     "rank_prime",
-    "to_complex_matrix",
 ]
 
 # Largest accepted order d.  A rank below its cap is certified with about
@@ -583,9 +584,20 @@ def _rank_mod(rows, p: int, w: int, exponents, cap: int) -> int:
     return len(pivots)
 
 
+_FLOATS = (complex, float)
+_PIVOT_TOL = 1e-9  # relative pivot threshold of the float mode, a documented heuristic
+
+
+def _mismatch(x) -> Exception:
+    """The typed error for an entry that does not fit the mode of its rows."""
+    if isinstance(x, (CycloNumber, *_FLOATS)):
+        return ModeMismatch("rows mix exact and floating-point values")
+    return TypeError(f"unsupported scalar {type(x).__name__}")
+
+
 def rank_exact(rows, upper: int | None = None) -> int:
-    """Rank over Q(zeta_d) of a matrix of :class:`CycloNumber`, certified
-    from its images modulo primes.
+    """Rank over Q(zeta_d) of rows that map columns to :class:`CycloNumber`,
+    certified from their images modulo primes.
 
     Each row is scaled by the lcm of its coefficient denominators, which
     leaves the rank r unchanged and puts every entry in Z[zeta_d].  For
@@ -604,8 +616,8 @@ def rank_exact(rows, upper: int | None = None) -> int:
 
     So the distinct primes that fall short all divide one nonzero integer
     of size at most H^phi(d).  Primes are used until the rank reaches the
-    number of nonzero rows, the number of columns or ``upper``, or their
-    product exceeds H^phi(d); the largest rank seen is then r.  ``upper``
+    number of nonzero rows, of columns with a nonzero entry or ``upper``, or
+    their product exceeds H^phi(d); the largest rank seen is then r.  ``upper``
     must be an upper bound on r that the caller knows: a prime that
     reaches it proves r = upper.  The comparison is by bit lengths: the
     product is at least 2^b with b = sum(bit_length(p) - 1), and
@@ -614,16 +626,24 @@ def rank_exact(rows, upper: int | None = None) -> int:
 
     Zero tests are structural: an entry is skipped when its map is empty.
     A nonzero map that sums to zero is kept; its images are 0 mod every p.
+    Entries of another type or order raise a typed error.
     """
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
     scaled = []  # nonzero rows as lists of (column, ((exponent, integer), ...))
     exponents = set()
+    columns = set()
     norms = 1  # product over rows of max(1, ||row||_2^2)
     order = None
     for r in rows:
-        entries = [(j, x.terms) for j, x in enumerate(r) if x.terms]
+        entries = []
+        for j, x in r.items():
+            if type(x) is not CycloNumber:
+                raise _mismatch(x)
+            if x.order != order:
+                if order is not None:
+                    raise OrderMismatch(f"rows mix cyclotomic orders {order} and {x.order}")
+                order = x.order
+            if x.terms:
+                entries.append((j, x.terms))
         if not entries:
             continue
         den = lcm(*(c.denominator for _j, t in entries for c in t.values()))
@@ -632,14 +652,13 @@ def rank_exact(rows, upper: int | None = None) -> int:
             for j, t in entries
         ]
         scaled.append(ints)
-        for _j, ts in ints:
+        for j, ts in ints:
+            columns.add(j)
             exponents.update(k for k, _c in ts)
         norms *= sum(sum(abs(c) for _k, c in ts) ** 2 for _j, ts in ints)
-        if order is None:
-            order = r[entries[0][0]].order
     if not scaled:
         return 0
-    cap = min(len(scaled), ncols)
+    cap = min(len(scaled), len(columns))
     if upper is not None:
         cap = min(cap, upper)
     need = euler_phi(order) * norms.bit_length()  # norms = H^2, H^(2 phi) < 2^need
@@ -652,20 +671,26 @@ def rank_exact(rows, upper: int | None = None) -> int:
     return best
 
 
-def rank_float(rows, tol: float = 1e-9) -> int:
-    """Rank of a complex matrix with partial pivoting.
+def rank_float(rows) -> int:
+    """Rank of rows that map columns to complex numbers, with partial pivoting.
 
-    A pivot counts when its magnitude exceeds tol times the largest entry
-    magnitude of the input matrix; the threshold is a documented heuristic.
+    The rows, empty ones included, fill a dense matrix over the columns that
+    occur; an absent column is all zero and would never give a pivot.  A
+    pivot counts when its magnitude exceeds 1e-9 times the largest entry
+    magnitude of the matrix; the threshold is a documented heuristic.
     """
-    m = [[complex(x) for x in r] for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
+    col = {j: i for i, j in enumerate(sorted({j for r in rows for j in r}))}
+    nrows, ncols = len(rows), len(col)
+    m = [[0j] * ncols for _ in rows]
+    for dense, r in zip(m, rows):
+        for j, x in r.items():
+            if not isinstance(x, _FLOATS):
+                raise _mismatch(x)
+            dense[col[j]] = complex(x)
     scale = max((abs(x) for r in m for x in r), default=0.0)
     if scale == 0.0:
         return 0
-    thresh = tol * scale
+    thresh = _PIVOT_TOL * scale
     r = 0
     for c in range(ncols):
         piv, best = None, thresh
@@ -686,70 +711,12 @@ def rank_float(rows, tol: float = 1e-9) -> int:
     return r
 
 
-def _classify(matrix):
-    """Return ('exact', order) or ('float', None); reject mixtures."""
-    saw_cyclo_order = None
-    saw_complex = False
-    saw_other = False
-    for row in matrix:
-        for x in row:
-            if isinstance(x, CycloNumber):
-                if saw_cyclo_order is None:
-                    saw_cyclo_order = x.order
-                elif saw_cyclo_order != x.order:
-                    raise OrderMismatch("matrix mixes cyclotomic orders")
-            elif isinstance(x, complex):
-                saw_complex = True
-            elif isinstance(x, float):
-                saw_complex = True
-            elif isinstance(x, _Rational):
-                saw_other = True
-            else:
-                raise TypeError(f"unsupported scalar {type(x).__name__}")
-    if saw_cyclo_order is not None and saw_complex:
-        raise ModeMismatch("matrix mixes exact and floating-point scalars")
-    if saw_cyclo_order is not None:
-        return "exact", saw_cyclo_order
-    if saw_complex:
-        return "float", None
-    if saw_other:
-        return "exact", 1  # plain rational matrix
-    return "float", None
-
-
-def rank(matrix, tol: float = 1e-9, upper: int | None = None) -> int:
-    """Rank of a rectangular matrix of uniform scalar mode.
-
-    ``upper``, a known upper bound on the exact rank, is passed to
-    :func:`rank_exact`; the float mode does not use it.
+def rank(rows, upper: int | None = None) -> int:
+    """Rank of rows that map columns to values, in the mode of the first
+    value: :func:`rank_exact` (with ``upper``, a known bound on the rank) for
+    a :class:`CycloNumber`, :func:`rank_float` otherwise; 0 without values.
     """
-    rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("matrix is not rectangular")
-    mode, order = _classify(rows)
-    if mode == "float":
-        return rank_float(rows, tol)
-    coerced = [
-        [x if isinstance(x, CycloNumber) else CycloNumber.from_rational(order, x) for x in r]
-        for r in rows
-    ]
-    return rank_exact(coerced, upper)
-
-
-def to_complex_matrix(rows):
-    """Embed an exact matrix into complex numbers via zeta_d -> e^(2 pi i/d).
-
-    An empty map becomes 0j without being evaluated.
-    """
-    out = []
     for r in rows:
-        out.append(
-            [
-                (x.to_complex() if x.terms else 0j) if isinstance(x, CycloNumber) else complex(x)
-                for x in r
-            ]
-        )
-    return out
+        for x in r.values():
+            return rank_exact(rows, upper) if type(x) is CycloNumber else rank_float(rows)
+    return 0

@@ -202,34 +202,34 @@ def presentation(dec: DeconedArrangement) -> GroupPresentation:
     return GroupPresentation(tuple(range(m)), tuple(relators))
 
 
-def _fox_row_float(word, m, mon, mon_inv):
-    """Monodromy-evaluated Fox derivatives of one word, float values."""
-    row = [0j] * m
+def _fox_row_float(word, mon, mon_inv):
+    """Monodromy-evaluated Fox derivatives of one word, float values, by generator."""
+    row = {}
     pref = complex(1.0)
     for c in word:
         i = abs(c) - 1
         if c > 0:
-            row[i] = row[i] + pref
+            row[i] = row.get(i, 0j) + pref
             pref = pref * mon[i]
         else:
             pref = pref * mon_inv[i]
-            row[i] = row[i] - pref
+            row[i] = row.get(i, 0j) - pref
     return row
 
 
-def _fox_row(word, m, exps, d):
-    """Fox derivatives of one word under x_i -> zeta_d^exps[i], as exponent maps.
+def _fox_row(word, exps, d):
+    """Fox derivatives of one word under x_i -> zeta_d^exps[i], by generator.
 
     Every prefix of the word evaluates to a monomial zeta^e, so each letter
     adds +1 or -1 at one exponent of one entry.
     """
-    row = [{} for _ in range(m)]  # one exponent map per generator
+    row = {}  # generator -> exponent map
     e = 0
     for c in word:
         i = abs(c) - 1
         if c < 0:
             e = (e - exps[i]) % d
-        entry = row[i]
+        entry = row.setdefault(i, {})
         v = entry.get(e, 0) + (1 if c > 0 else -1)
         if v:
             entry[e] = v
@@ -237,20 +237,21 @@ def _fox_row(word, m, exps, d):
             del entry[e]
         if c > 0:
             e = (e + exps[i]) % d
-    return [CycloNumber.from_terms(d, entry) for entry in row]
+    return {i: CycloNumber.from_terms(d, entry) for i, entry in row.items()}
 
 
 def fox_complex(pres: GroupPresentation, dec: DeconedArrangement):
-    """The twisted two-term complex (d2, d1) of the presentation complex."""
+    """The twisted two-term complex (d2, d1) of the presentation complex;
+    a row of d2 maps the generators in its relator to their derivatives."""
     m = len(pres.generators)
     mon, mon_inv = dec.monodromy, dec.monodromy_inverse
     if isinstance(mon[0], CycloNumber):
         one = CycloNumber.one(mon[0].order)
         exps = [next(iter(x.terms)) for x in mon]  # each value is zeta^k, the map {k: 1}
-        d2 = [_fox_row(w, m, exps, one.order) for w in pres.relators]
+        d2 = [_fox_row(w, exps, one.order) for w in pres.relators]
     else:
         one = complex(1.0)
-        d2 = [_fox_row_float(w, m, mon, mon_inv) for w in pres.relators]
+        d2 = [_fox_row_float(w, mon, mon_inv) for w in pres.relators]
     d1 = [mon[i] - one for i in range(m)]
     return d2, d1
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cyclo import rank, rank_float, to_complex_matrix
+from .cyclo import rank, rank_float
 from .errors import InvariantError, NotNormalized, NotResonant, UnboundedChamber
 from .geometry import (
     Arrangement,
@@ -103,12 +103,6 @@ class RelationRow:
     kind: str  # "point+", "point-" or "chamber"
     label: int  # point id or chamber id
     coeffs: dict = field(compare=False)
-
-    def dense(self, basis: AngleBasis, zero):
-        row = [zero] * basis.dim
-        for col, val in self.coeffs.items():
-            row[col] = val
-        return row
 
     @property
     def is_zero(self) -> bool:
@@ -229,15 +223,14 @@ def h1(arr: Arrangement, system: LocalSystem, seed: int = 0) -> HomologyReport:
     resonant = resonant_points(narr, system)
     cells = chambers(narr)
     basis, rows = relation_matrix(narr, system, resonant, cells)
-    zero = system.one() - system.one()
-    dense = [r.dense(basis, zero) for r in rows]
-    rank_K = rank(dense) if basis.dim else 0
+    K = [r.coeffs for r in rows]
+    rank_K = rank(K)
     betti = basis.dim - rank_K
     num_chamber_rows = sum(1 for r in rows if r.kind == "chamber")
     zas_ok = num_chamber_rows == zaslavsky_bounded_count(narr)
     agrees = True
-    if system.is_exact and basis.dim:
-        agrees = rank_float(to_complex_matrix(dense)) == rank_K
+    if system.is_exact:
+        agrees = rank_float([{j: x.to_complex() for j, x in row.items()} for row in K]) == rank_K
     e = euler_characteristic(narr)
     return HomologyReport(
         dim_A=basis.dim,

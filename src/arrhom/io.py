@@ -25,12 +25,37 @@ from .homology import h1
 from .local_system import LocalSystem, resonant_points
 
 __all__ = [
+    "MAX_DIGITS",
     "build_report",
     "dump_instance",
     "parse_instance",
     "parse_rational",
     "rational_str",
 ]
+
+
+# Most digits of a line coefficient once the line is scaled to integers.
+# Reports print numbers in decimal, and CPython (3.11 on) converts no int of
+# more than 4300 digits.  The largest printed numbers are the basic frame's
+# points: 2 x 2 minors of the coefficients (at most 2 * MAX_DIGITS + 1
+# digits) times the few-digit entries of the normalization map, so they stay
+# near 2000 digits.
+MAX_DIGITS = 1000
+_MAX_LITERAL = 2 * MAX_DIGITS + 2  # a numerator, a denominator, a sign and a slash
+
+
+def _json_int(text: str):
+    """A JSON integer, kept as text when it has more than MAX_DIGITS digits,
+    so that it is rejected with its position, not by the int conversion limit."""
+    return int(text) if len(text.lstrip("-")) <= MAX_DIGITS else text
+
+
+def _too_large(literal: str) -> bool:
+    """Whether a rational literal is too long or has a decimal exponent beyond
+    MAX_DIGITS, read from its text: ``Fraction("1e100000000")`` alone builds
+    an integer of 10^8 digits."""
+    exponent = literal.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+    return len(literal) > _MAX_LITERAL or (exponent.isdecimal() and int(exponent) > MAX_DIGITS)
 
 
 def parse_rational(value, where: str) -> Fraction:
@@ -44,6 +69,9 @@ def parse_rational(value, where: str) -> Fraction:
             where,
         )
     if isinstance(value, str):
+        if _too_large(value):
+            msg = f"rational literal longer than {_MAX_LITERAL} characters or with an exponent beyond {MAX_DIGITS}"
+            raise ParseError(msg, where)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -72,9 +100,11 @@ def rational_str(q: Fraction) -> str:
 def parse_instance(text: str):
     """Parse an arrangement file into (Arrangement, LocalSystem)."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno} column {exc.colno}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", "$") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object", "$")
     raw_lines = doc.get("lines")
@@ -87,7 +117,10 @@ def parse_instance(text: str):
         coeffs = [parse_rational(v, f"lines[{i}][{j}]") for j, v in enumerate(triple)]
         if coeffs == [0, 0, 0]:
             raise ParseError("line coefficients must not all vanish", f"lines[{i}]")
-        lines.append(Line.from_coeffs(*coeffs))
+        line = Line.from_coeffs(*coeffs)
+        if max(abs(line.a), abs(line.b), abs(line.c)) >= 10**MAX_DIGITS:
+            raise ParseError(f"a coefficient has more than {MAX_DIGITS} digits in integer form", f"lines[{i}]")
+        lines.append(line)
     try:
         arr = Arrangement(lines)
     except Exception as exc:
@@ -121,7 +154,8 @@ def parse_instance(text: str):
             raise ParseError("'exponents' must list one integer per line", "local_system.exponents")
         for i, k in enumerate(exps):
             if not isinstance(k, int) or isinstance(k, bool):
-                raise ParseError("exponents must be integers", f"local_system.exponents[{i}]")
+                msg = f"exponents must be integers of at most {MAX_DIGITS} digits"
+                raise ParseError(msg, f"local_system.exponents[{i}]")
         system = LocalSystem(order=order, exponents=exps)
     return arr, system
 

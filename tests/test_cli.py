@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from arrhom import cli
 from arrhom.cli import main
 from arrhom.cyclo import MAX_ORDER
 from arrhom.geometry import Line, mat_apply_point, normalize
-from arrhom.io import parse_instance, parse_rational, rational_str
+from arrhom.io import MAX_DIGITS, parse_instance, parse_rational, rational_str
 from arrhom.errors import ParseError
 
 
@@ -253,6 +254,8 @@ def test_env_seed_override(a3_file, capsys, monkeypatch):
         (None, ("fuzz", "--order", "2", "--lines", "3"), "--order"),
         (None, ("fuzz", "--trials", "-1"), "--trials"),
         (None, ("fuzz", "--order", str(MAX_ORDER + 1)), "--order"),
+        (None, ("fuzz", "--jobs", "0"), "--jobs"),
+        (None, ("fuzz", "--jobs", "-3"), "--jobs"),
     ],
 )
 def test_bad_option_values_exit_1(a3_file, capsys, monkeypatch, tmp_path, env_seed, argv, option):
@@ -309,3 +312,95 @@ def test_fuzz_worker_pool(tmp_path, capsys, monkeypatch):
     assert code == 0
     summary = json.loads(out)
     assert summary["trials"] == 4 and summary["violations"] == 0
+
+
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records its size and runs in
+    this process, so no test ever starts a worker per requested job."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, size",
+    [(100000, 8, 3), (100000, 2, 2), (2, 8, 2), (100000, None, None), (1, 8, None)],
+    ids=["trials", "cpus", "jobs", "unknown-cpus", "serial"],
+)
+def test_fuzz_pool_is_at_most_jobs_trials_and_cpus(tmp_path, capsys, monkeypatch, jobs, cpus, size):
+    monkeypatch.chdir(tmp_path)
+    argv = ("fuzz", "--trials", "3", "--seed", "5", "--max-lines", "4")
+    serial = _run(capsys, *argv)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert _run(capsys, *argv, "--jobs", str(jobs)) == serial
+    assert _RecordingPool.sizes == ([] if size is None else [size])
+
+
+def _instance_text(first_line: str, exponents: str = "[1, 1, 1, 1, 1]") -> str:
+    """An instance as JSON text, which can hold integers that ``json.dumps``
+    would refuse to write."""
+    return (
+        f'{{"lines": [{first_line}, [0, 1, 0], [1, 0, 0], [1, 1, -1], [1, -1, 2]], '
+        f'"local_system": {{"order": 5, "exponents": {exponents}}}}}'
+    )
+
+
+@pytest.mark.parametrize("command", ["validate", "h1"])
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (_instance_text(f"[{'7' * 5000}, 0, 1]"), "lines[0][0]"),
+        (_instance_text("[1, 2, 3]", f"[{'1' * 5000}, 1, 1, 1, 1]"), "local_system.exponents[0]"),
+        (_instance_text('["1e5000", 0, 1]'), "lines[0]"),
+        (_instance_text('[1, "1e100000000", 1]'), "lines[0][1]"),
+        (_instance_text('[1, 1, "1e-100000000"]'), "lines[0][2]"),
+        (_instance_text(f"[{10**MAX_DIGITS}, 1, 0]"), "lines[0]"),
+        (_instance_text(f'[1, 1, "1/{10**MAX_DIGITS}"]'), "lines[0]"),
+        ("[" * 100000, "$"),
+    ],
+    ids=[
+        "json-int-5000-digits",
+        "exponent-5000-digits",
+        "exponent-part-5000",
+        "exponent-part-1e8",
+        "negative-exponent-part-1e8",
+        "coefficient-one-digit-too-many",
+        "denominator-one-digit-too-many",
+        "nesting",
+    ],
+)
+def test_oversized_numbers_are_parse_errors(tmp_path, capsys, command, text, where):
+    # each used to end in a ValueError traceback from json or from printing
+    # the report, or to hang while building a huge integer
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("parse error") and where in err
+    assert "Traceback" not in err
+
+
+def test_largest_coefficients_report(tmp_path, capsys):
+    # every canonical coefficient at MAX_DIGITS digits, parallel lines
+    # included, so the basic frame needs a projective map
+    c = 10**MAX_DIGITS - 1
+    path = tmp_path / "largest.json"
+    path.write_text(_instance_text(f"[0, 1, {-c}]").replace("[1, -1, 2]", f"[{c}, {2 - c}, 1]"))
+    code, out, err = _run(capsys, "h1", str(path), "--certificates")
+    assert code == 0 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["input"]["lines"][0] == ["0", "1", str(-c)]
+    assert all(report["consistency"].values())

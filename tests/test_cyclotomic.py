@@ -16,7 +16,6 @@ from arrhom.cyclo import (
     rank_exact,
     rank_float,
     rank_prime,
-    to_complex_matrix,
 )
 from arrhom.errors import ModeMismatch, OrderMismatch
 from conftest import GRID_LINES
@@ -131,32 +130,44 @@ ONE3 = CycloNumber.one(3)
 ZERO3 = CycloNumber.zero(3)
 
 # Relation matrix of the complete quadrilateral with constant order-3
-# monodromy: eight point rows (two per triple point) and six chamber rows.
+# monodromy: eight point rows (two per triple point) and six chamber rows,
+# each a map from column to entry.
 QUADRILATERAL_MATRIX = [
-    [ONE3, ONE3, ONE3, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [W, W2, ONE3, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, ONE3, ONE3, ONE3, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, W, W2, ONE3, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, ONE3, ONE3, ONE3, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, W, W2, ONE3, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0, 0, ONE3, ONE3, ONE3],
-    [0, 0, 0, 0, 0, 0, 0, 0, 0, W, W2, ONE3],
-    [0, W2, 0, 0, 0, 0, 0, 0, 0, 0, 0, ONE3],
-    [0, 0, ONE3, 0, 0, 0, 0, 0, 0, 0, ONE3, 0],
-    [0, 0, 0, 0, 0, 0, W, 0, 0, ONE3, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, W2, 0, 0, 0, ONE3],
-    [0, 0, 0, ONE3, 0, 0, 0, 0, 0, 0, W2, 0],
-    [0, 0, 0, 0, ONE3, 0, 0, 0, 0, W, 0, 0],
+    {0: ONE3, 1: ONE3, 2: ONE3},
+    {0: W, 1: W2, 2: ONE3},
+    {3: ONE3, 4: ONE3, 5: ONE3},
+    {3: W, 4: W2, 5: ONE3},
+    {6: ONE3, 7: ONE3, 8: ONE3},
+    {6: W, 7: W2, 8: ONE3},
+    {9: ONE3, 10: ONE3, 11: ONE3},
+    {9: W, 10: W2, 11: ONE3},
+    {1: W2, 11: ONE3},
+    {2: ONE3, 10: ONE3},
+    {6: W, 9: ONE3},
+    {7: W2, 11: ONE3},
+    {3: ONE3, 10: W2},
+    {4: ONE3, 9: W},
 ]
 
 
+def _complex(rows):
+    """The rows under zeta_d -> e^(2 pi i/d)."""
+    return [{j: x.to_complex() for j, x in r.items()} for r in rows]
+
+
+def _q(value):
+    """A rational as an element of Q(zeta_1) = Q."""
+    return CycloNumber.from_rational(1, Fraction(value))
+
+
 def test_rank_identity():
-    assert rank([[ONE3, ZERO3], [ZERO3, ONE3]]) == 2
+    assert rank([{0: ONE3, 1: ZERO3}, {0: ZERO3, 1: ONE3}]) == 2
+    assert rank([{0: ONE3}, {1: ONE3}]) == 2
 
 
 def test_rank_quadrilateral_matrix_is_11():
     assert rank(QUADRILATERAL_MATRIX) == 11
-    assert rank_float(to_complex_matrix(QUADRILATERAL_MATRIX)) == 11
+    assert rank_float(_complex(QUADRILATERAL_MATRIX)) == 11
 
 
 def test_rank_repeated_row_invariance():
@@ -165,14 +176,15 @@ def test_rank_repeated_row_invariance():
 
 
 def _random_matrix(rng, d, nrows, ncols, bound=2):
+    """Rows with an entry, possibly zero, in every one of ``ncols`` columns."""
     out = []
     for _ in range(nrows):
-        row = []
-        for _ in range(ncols):
+        row = {}
+        for j in range(ncols):
             v = CycloNumber.zero(d)
             for k in range(euler_phi(d)):
                 v = v + CycloNumber.zeta(d, k) * rng.randint(-bound, bound)
-            row.append(v)
+            row[j] = v
         out.append(row)
     return out
 
@@ -190,8 +202,8 @@ def test_rank_exact_matches_float(seed):
     nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
     m = _random_matrix(rng, d, nrows, ncols, bound)
     if seed % 2:
-        m += [[a + b for a, b in zip(m[rng.randrange(nrows)], m[-1])] for _ in range(3)]
-    assert rank_exact(m) == rank_float(to_complex_matrix(m))
+        m += [{j: a + m[-1][j] for j, a in m[rng.randrange(nrows)].items()} for _ in range(3)]
+    assert rank_exact(m) == rank_float(_complex(m))
 
 
 def _record_images(monkeypatch):
@@ -223,18 +235,19 @@ def test_rank_survives_an_unlucky_first_prime(monkeypatch):
     # the entry P vanishes modulo the first prime, where the rank drops to 1
     images = _record_images(monkeypatch)
     P, _ = rank_prime(3, 0)
-    m = [[CycloNumber.from_rational(3, P), ZERO3], [ZERO3, ONE3]]
+    m = [{0: CycloNumber.from_rational(3, P)}, {1: ONE3}]
     assert rank_exact(m) == 2
     assert images == [(P, 1), (rank_prime(3, 1)[0], 2)]
 
 
 def test_rank_deficient_certification_uses_several_primes(monkeypatch):
-    # rank 2, and rank 1 modulo the first prime; no prime reaches 3 columns,
-    # so the answer stands only once the primes outweigh the norm bound
+    # rank 2, and rank 1 modulo the first prime; no prime reaches 3 rows
+    # and 3 nonzero columns, so the answer stands only once the primes
+    # outweigh the norm bound
     images = _record_images(monkeypatch)
     P, _ = rank_prime(3, 0)
     p_ = CycloNumber.from_rational(3, P)
-    m = [[p_, ZERO3, ZERO3], [ZERO3, W, ZERO3], [p_, W, ZERO3]]
+    m = [{0: p_, 2: p_}, {1: W}, {0: p_, 1: W, 2: p_}]
     assert rank_exact(m) == 2
     assert images[0] == (P, 1) and len(images) > 2
     # large entries over Q(zeta_12): a third row in the span of the first two
@@ -242,33 +255,43 @@ def test_rank_deficient_certification_uses_several_primes(monkeypatch):
     rng = random.Random(3)
     a, b = _random_matrix(rng, 12, 2, 4, 10**6)
     two, z = CycloNumber.from_rational(12, 2), CycloNumber.zeta(12, 5)
-    m = [a, b, [two * x + z * y for x, y in zip(a, b)]]
-    assert rank_exact(m) == 2 == rank_float(to_complex_matrix(m))
+    m = [a, b, {j: two * x + z * b[j] for j, x in a.items()}]
+    assert rank_exact(m) == 2 == rank_float(_complex(m))
     assert len(images) > 1
 
 
 def test_rank_scales_each_row_by_its_denominators():
     z = CycloNumber.zeta(5)
     half = CycloNumber.from_rational(5, Fraction(1, 2))
-    row = [half + z * Fraction(1, 3), CycloNumber.from_rational(5, Fraction(1, 5))]
-    m = [row, [x * 6 for x in row]]
+    row = {0: half + z * Fraction(1, 3), 1: CycloNumber.from_rational(5, Fraction(1, 5))}
+    m = [row, {j: x * 6 for j, x in row.items()}]
     assert rank_exact(m) == 1
     m[1][1] = m[1][1] + Fraction(1, 7)
     assert rank_exact(m) == 2
-    assert rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+    assert rank([{0: _q(Fraction(1, 2)), 1: _q(Fraction(1, 3))}, {0: _q(3), 1: _q(2)}]) == 1
+
+
+def test_rank_is_capped_by_the_columns_that_occur(monkeypatch):
+    # three nonzero rows, one nonzero column: the first prime that reaches
+    # rank 1 ends the certification, long before the primes would outweigh
+    # the norm bound of these large entries
+    images = _record_images(monkeypatch)
+    m = [{0: W * 10**40}, {0: ONE3 * 3**50, 5: ZERO3}, {4: ZERO3, 0: W2 * 7**30}]
+    assert rank_exact(m) == 1
+    assert len(images) == 1
 
 
 def test_rank_exact_matches_float_30x30():
     rng = random.Random(99)
     m = _random_matrix(rng, 3, 30, 30)
-    assert rank_exact(m) == rank_float(to_complex_matrix(m))
+    assert rank_exact(m) == rank_float(_complex(m))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_rank_transpose(seed):
     rng = random.Random(100 + seed)
     m = _random_matrix(rng, rng.choice([2, 3, 4, 6]), rng.randint(1, 10), rng.randint(1, 10))
-    mt = [list(col) for col in zip(*m)]
+    mt = [{i: r[j] for i, r in enumerate(m)} for j in m[0]]
     assert rank(m) == rank(mt)
 
 
@@ -277,20 +300,84 @@ def test_low_rank_products():
     rng = random.Random(5)
     u = [_random_cyclo(rng, 6) for _ in range(8)]
     v = [_random_cyclo(rng, 6) for _ in range(9)]
-    m = [[a * b for b in v] for a in u]
+    m = [{j: a * b for j, b in enumerate(v)} for a in u]
     if any(not a.is_zero for a in u) and any(not b.is_zero for b in v):
         assert rank(m) == 1
 
 
 def test_mode_mismatch():
     with pytest.raises(ModeMismatch):
-        rank([[ONE3, complex(1.0)]])
+        rank([{0: ONE3, 1: complex(1.0)}])
 
 
 def test_empty_and_rational_matrices():
     assert rank([]) == 0
-    assert rank([[Fraction(1, 2), 1], [1, 2]]) == 1
-    assert rank([[0.0, 0.0]]) == 0
+    assert rank([{}, {}]) == 0
+    assert rank([{0: _q(Fraction(1, 2)), 1: _q(1)}, {0: _q(1), 1: _q(2)}]) == 1
+    assert rank([{0: 0.0, 1: 0.0}]) == 0
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([{0: ONE3}, {1: ONE3, 2: 1j}], ModeMismatch),
+        ([{0: 1j}, {0: 0.5, 3: W}], ModeMismatch),
+        ([{0: ONE3, 1: CycloNumber.zeta(4)}], OrderMismatch),
+        ([{0: ONE3}, {1: CycloNumber.zeta(6)}], OrderMismatch),
+        ([{0: ONE3, 1: Fraction(1, 2)}], TypeError),
+        ([{0: ONE3}, {0: 1}], TypeError),
+        ([{0: 1j, 1: Fraction(1, 2)}], TypeError),
+        ([{0: 3}], TypeError),
+        ([{}, {0: "1"}], TypeError),
+    ],
+    ids=[
+        "exact-then-float",
+        "float-then-exact",
+        "orders-in-a-row",
+        "orders-across-rows",
+        "fraction-in-exact",
+        "int-in-exact",
+        "fraction-in-float",
+        "int-first",
+        "string",
+    ],
+)
+def test_rank_rejects_mixed_rows(rows, error):
+    with pytest.raises(error):
+        rank(rows)
+
+
+def _near_singular_rows(rng, nrows, ncols):
+    """Random complex rows, some of them combinations of earlier rows plus
+    noise of 1e-13 to 1e-6, so that pivots fall near the 1e-9 threshold."""
+    rows = []
+    for i in range(nrows):
+        if i >= 2 and rng.random() < 0.5:
+            a, b = rng.sample(rows, 2)
+            c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            eps = 10.0 ** rng.randint(-13, -6)
+            rows.append([x + c * y + eps * complex(rng.random(), rng.random()) for x, y in zip(a, b)])
+        else:
+            rows.append([complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(ncols)])
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rank_float_reads_absent_columns_as_zero(seed):
+    # dict rows with absent columns and empty rows eliminate exactly like the
+    # same rows with every column, 0..ncols-1, written out as 0j
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+    dense = _near_singular_rows(rng, nrows, ncols)
+    gone = {j for j in range(ncols) if rng.random() < 0.3}
+    for row in dense:
+        for j in range(ncols):
+            if j in gone or rng.random() < 0.2:
+                row[j] = 0j
+    for i in rng.sample(range(nrows), rng.randint(0, nrows // 2)):
+        dense[i] = [0j] * ncols
+    sparse = [{j: x for j, x in enumerate(row) if x != 0j} for row in dense]
+    assert rank_float(sparse) == rank_float([dict(enumerate(row)) for row in dense])
 
 
 # --- sparse exponent maps --------------------------------------------------

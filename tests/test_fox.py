@@ -77,7 +77,7 @@ def test_fox_fundamental_identity(quadrilateral, quadrilateral_system):
     zero = CycloNumber.zero(3)
     for row in d2:
         acc = zero
-        for j, v in enumerate(row):
+        for j, v in row.items():
             acc = acc + v * d1[j]
         assert acc.is_zero
 

@@ -207,3 +207,28 @@ def test_grid_report_does_no_power_basis_reduction_on_the_hot_path(monkeypatch, 
     assert set(reductions) <= {"elsewhere"}
     (CycloNumber.zeta(3) + 1).inverse()  # the counter sees a cold-path reduction
     assert reductions["elsewhere"] >= 1
+
+
+def test_relation_rows_reach_rank_exact_as_built(monkeypatch, tmp_path, capsys):
+    # K goes to rank_exact in the rows the builders made: one entry per
+    # relation coefficient, and no zero filled in for the angles a row misses
+    reports, entries = [], []
+    real_h1, real_rank = homology.h1, cyclo.rank_exact
+
+    def recording_h1(*args, **kwargs):
+        reports.append(real_h1(*args, **kwargs))
+        return reports[-1]
+
+    def recording_rank(rows, *args, **kwargs):
+        entries.append(sum(len(r) for r in rows))
+        return real_rank(rows, *args, **kwargs)
+
+    _rebind(monkeypatch, real_h1, recording_h1)
+    _rebind(monkeypatch, real_rank, recording_rank)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"lines": GRID_LINES, "local_system": {"order": 3, "exponents": [1] * 9}}))
+    assert main(["h1", str(path)]) == 0
+    capsys.readouterr()
+    (rep,) = reports
+    assert len(entries) == 2  # K, then the Fox oracle's d2
+    assert entries[0] == sum(len(r.coeffs) for r in rep.rows) < rep.num_rows * rep.dim_A
