@@ -18,15 +18,22 @@ The adapted frame is one projective map of the basic frame that the
 caller's h1 report already holds (:func:`geometry.adapted_frame`), so a
 certificate runs no normalization search and intersects nothing.  The frame
 always exists; the fuzz battery counts a failure to build it as a violation.
+Nor does a certificate walk chambers: it selects the cells of the report's
+walk that the frame's line at infinity does not cross, the ones that do not
+touch l0 from below (:func:`geometry.adapted_chambers`).  A cell's frame
+sign on line j is its basic sign times sign(s_j - s), +1 for l0, times +1
+above l0 and -1 below; its corner at a vertex follows from those signs and
+the vertex's lines in slope order, as in the walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .cyclo import rank
 from .errors import InvariantError, PencilNotCovered
-from .geometry import Arrangement, adapted_frame, chambers, sharp_pairs
+from .geometry import Arrangement, adapted_chambers, adapted_frame, sharp_pairs
 from .homology import relation_matrix
 from .local_system import LocalSystem, ResonantSet, resonant_points
 
@@ -89,20 +96,40 @@ def _vec_add(acc, vec, scale):
     return acc
 
 
-def beta_certificate(narr: Arrangement, system: LocalSystem, l0: int) -> BetaCertificate:
+def beta_certificate(narr: Arrangement, cells: list, system: LocalSystem, l0: int) -> BetaCertificate:
     """Build and verify the neighbor certificate along one line.
 
-    ``narr`` is a normalized arrangement, such as the basic frame of an h1
-    report (``HomologyReport.arrangement``).
+    ``narr`` is a normalized arrangement and ``cells`` its chambers, such as
+    the basic frame of an h1 report and its walk (``HomologyReport.arrangement``
+    and ``HomologyReport.chambers``).  The adapted frame's bounded chambers
+    are selected from ``cells`` (:func:`geometry.adapted_chambers`).
     """
     system.require_admissible(narr)
     if len(narr.points) <= 1:
         raise PencilNotCovered("the neighbor certificate needs more than one point")
     frame = adapted_frame(narr, l0)
     res = resonant_points(frame, system)
-    basis, rel_rows = relation_matrix(frame, system, res, chambers(frame))
-    one = system.one()
     r0 = res.on_line(l0)
+
+    # each line through a resonant point of l0 has a unique lowest point off
+    # l0; heights are compared as y D for D the lcm of the points' |Z|
+    at_r0 = set(r0)
+    a_prime = sorted({lid for p in frame.points if p.index in at_r0 for lid in p.line_ids} - {l0})
+    D = lcm(*(p.coords[2] for p in frame.points))
+    neighbors = {}
+    for lid in a_prime:
+        qs = sorted(
+            (p.coords[1] * (D // p.coords[2]), p.index)
+            for p in frame.points
+            if lid in p.line_ids and l0 not in p.line_ids
+        )
+        if not qs or (len(qs) > 1 and qs[0][0] == qs[1][0]):
+            raise InvariantError(f"line {lid} has no unique lowest point off the base line")
+        neighbors[lid] = qs[0][1]
+    n_points = sorted(set(neighbors.values()))
+
+    basis, rel_rows = relation_matrix(frame, system, res, adapted_chambers(narr, cells, frame, l0))
+    one = system.one()
 
     # alpha(l) lives at the unique resonant base point that l passes through
     alpha_of_line = {}
@@ -113,16 +140,6 @@ def beta_certificate(narr: Arrangement, system: LocalSystem, l0: int) -> BetaCer
         a_prime_sorted = list(lines_at[1:])
         for lid in a_prime_sorted:
             alpha_of_line[lid] = _alpha_line_vector(basis, pid, a_prime_sorted, lid, one)
-    a_prime = sorted(alpha_of_line)
-
-    neighbors = {}
-    for lid in a_prime:
-        off = [p for p in frame.points if lid in p.line_ids and l0 not in p.line_ids]
-        qs = sorted(off, key=lambda p: p.y)
-        if not qs or (len(qs) > 1 and qs[0].y == qs[1].y):
-            raise InvariantError(f"line {lid} has no unique lowest point off the base line")
-        neighbors[lid] = qs[0].index
-    n_points = sorted(set(neighbors.values()))
 
     betas = []
     extra = []

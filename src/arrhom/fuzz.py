@@ -348,7 +348,7 @@ def run_trial(
     if with_certificate and not pencil:
         for lid in range(arr.n):
             try:
-                cert = beta_certificate(narr, system, lid)
+                cert = beta_certificate(narr, rep.chambers, system, lid)
             except NormalizationFailed as exc:
                 violations.append(f"no adapted frame along line {lid}: {exc}")
                 continue

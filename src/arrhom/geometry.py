@@ -7,7 +7,15 @@ finite slope, slopes are pairwise distinct and every intersection point is
 affine.  Normalization is a seeded search over rational projective maps,
 verified in full, so failures are loud and reproducible rather than silent.
 The adapted frame of a neighbor certificate is one further projective map of
-a normalized frame, which always exists (see :func:`adapted_frame`).
+a normalized frame, which always exists (see :func:`adapted_frame`).  Its
+bounded chambers are selected from the normalized frame's walk, not walked
+again (:func:`adapted_chambers`): the cells of RP^2 minus the lines, with
+unbounded chambers glued to those of opposite signs, that do not touch l0
+from below.  A kept cell's sign on line j is its basic sign times
+sign(s_j - s) (+1 for l0), times +1 above l0 and -1 below; at a vertex
+with k lines, a of them below the cell, its corner is (k, 0) for a = 0 or
+k, (a, +1) when those are the first a in slope order, and (k - a, -1)
+otherwise.
 
 Every frame is a projective image of the input, and the input's points are
 intersected once.  :func:`transform` scales the map to an integer matrix N,
@@ -48,13 +56,12 @@ __all__ = [
     "IntersectionPoint",
     "Line",
     "NormalizationRecord",
+    "adapted_chambers",
     "adapted_frame",
     "chambers",
     "euler_characteristic",
-    "incidence_signature",
     "intersections",
     "mat_identity",
-    "mat_inverse",
     "mat_mul",
     "normalize",
     "sharp_pairs",
@@ -258,11 +265,6 @@ class Arrangement:
         return f"Arrangement({self.n} lines, {len(self.points)} points)"
 
 
-def incidence_signature(arr: Arrangement):
-    """Canonical incidence poset: a sorted tuple of sorted line-id tuples."""
-    return tuple(sorted(tuple(sorted(p.line_ids)) for p in arr.points))
-
-
 def euler_characteristic(arr: Arrangement) -> int:
     """Topological Euler characteristic of the complex projective complement."""
     n = arr.n
@@ -316,17 +318,6 @@ def _adjugate(A):
         )
         for i in range(3)
     )
-
-
-def mat_inverse(A):
-    d = mat_det(A)
-    if d == 0:
-        raise ValueError("singular transformation")
-    return tuple(tuple(Fraction(v) / d for v in row) for row in _adjugate(A))
-
-
-def mat_apply_point(A, P):
-    return tuple(sum(A[i][k] * Fraction(P[k]) for k in range(3)) for i in range(3))
 
 
 def _map_point(N, P):
@@ -390,9 +381,6 @@ class NormalizationRecord:
 
     def apply(self, arr: Arrangement) -> Arrangement:
         return transform(arr, self.matrix)
-
-    def inverse_matrix(self):
-        return mat_inverse(self.matrix)
 
 
 def _shear_x(t):
@@ -490,55 +478,173 @@ def adapted_frame(narr: Arrangement, l0: int) -> Arrangement:
     The shear x -> x + beta y then makes every other slope positive: on
     u = 1/slope it acts as u -> u + beta, and it keeps y.  beta is read from
     the lines alone, mapped by adj(N3) for N3 the integer multiple of M3.
+
+    Both minima are taken by integer cross-multiplication, and only then
+    made Fractions.  At a point (X : Y : Z), y' = l0(X, Y, Z) / (b Z) for
+    l0 = (a, b, c), so the least |y'| is the least |l0(P)| / |Z|.
     """
     if not narr.is_normalized:
         raise NotNormalized("the adapted frame is built from a normalized arrangement")
     line0 = narr.lines[l0]
+    least = None  # (|l0(P)|, |Z|) at a point off l0 with the least |y'|
+    for p in narr.points:
+        if l0 not in p.line_ids:
+            u, z = abs(line0.hom_eval(*p.coords)), abs(p.coords[2])
+            if least is None or u * least[1] < least[0] * z:
+                least = (u, z)
+    eps = Fraction(least[0], 2 * abs(line0.b) * least[1]) if least else Fraction(1)
     s, b0 = line0.slope, line0.intercept
-    off = [abs(line0.q(p.x, p.y)) for p in narr.points if l0 not in p.line_ids]
-    eps = min(off) / 2 if off else Fraction(1)
     M3 = (
         (Fraction(1), Fraction(0), Fraction(0)),
         (-s, Fraction(1), -b0),
         (-s, Fraction(1), eps - b0),
     )
-    adj = _adjugate(_integer_matrix(M3)[0])
-    us = []  # u = -b/a of each other line l adj(N3); a != 0, as none is parallel to l0
+    N3 = _integer_matrix(M3)[0]
+    adj = _adjugate(N3)
+    least_u = None  # (num, den), den > 0: the least u = -b/a over the lines l adj(N3) but l0
     for i, l in enumerate(narr.lines):
-        if i != l0:
+        if i != l0:  # a != 0, as no other line is parallel to l0
             a, b = (l.a * adj[0][j] + l.b * adj[1][j] + l.c * adj[2][j] for j in range(2))
-            us.append(Fraction(-b, a))
-    beta = 1 - min(us) if us and min(us) <= 0 else Fraction(0)
-    out = transform(narr, mat_mul(_shear_x(beta), M3))
+            u = (-b, a) if a > 0 else (b, -a)
+            if least_u is None or u[0] * least_u[1] < least_u[0] * u[1]:
+                least_u = u
+    beta = 1 - Fraction(*least_u) if least_u and least_u[0] <= 0 else Fraction(0)
+    # the shear's rows times N3, scaled by beta's denominator q > 0
+    p, q = beta.numerator, beta.denominator
+    N = (
+        tuple(q * x + p * y for x, y in zip(N3[0], N3[1])),
+        tuple(q * y for y in N3[1]),
+        tuple(q * z for z in N3[2]),
+    )
+    out = transform(narr, N)
     _verify_adapted_single(out, l0)
     return out
 
 
 def _verify_adapted_single(arr: Arrangement, l0: int):
+    """The adapted frame's promises, checked on the integer coordinates.
+
+    A line (a, b, c) has slope -a/b, which is positive exactly when a b < 0;
+    a point (X : Y : Z) lies below y = 0 exactly when Y Z < 0.  Canonical
+    lines have a > 0 or a = 0 < b, so (a, b) / gcd(a, b) is one key per slope.
+    """
     line0 = arr.lines[l0]
     if (line0.a, line0.b, line0.c) != (0, 1, 0):
         raise NormalizationFailed("base line did not land on y = 0")
-    slopes = []
+    slopes = set()
     for i, l in enumerate(arr.lines):
-        if l.is_vertical:
+        if l.b == 0:
             raise NormalizationFailed("vertical line in adapted frame")
-        slopes.append(l.slope)
-        if i != l0 and l.slope <= 0:
+        if i != l0 and l.a * l.b >= 0:
             raise NormalizationFailed("non-positive slope in adapted frame")
-    if len(set(slopes)) != len(slopes):
+        g = gcd(l.a, l.b)
+        slopes.add((l.a // g, l.b // g))
+    if len(slopes) != arr.n:
         raise NormalizationFailed("slope collision in adapted frame")
     for p in arr.points:
-        if p.is_infinite or p.y < 0:
+        _X, Y, Z = p.coords
+        if Z == 0 or Y * Z < 0:
             raise NormalizationFailed("intersection point below the base line")
+
+
+def _corner(signs, line_ids) -> tuple:
+    """(angle, side) of the sector a chamber with these line signs fills at a
+    vertex whose lines, in slope order, are ``line_ids``; as in :func:`_sector`.
+
+    The sector right of the vertical between l_i and l_(i+1) lies above
+    l_1 ... l_i, the one left of it above l_(i+1) ... l_k, and the two that
+    cross the vertical above all k lines or none.
+    """
+    k = len(line_ids)
+    above = [signs[j] > 0 for j in line_ids]
+    a = sum(above)
+    if a == 0 or a == k:
+        return (k, 0)
+    if all(above[:a]):
+        return (a, 1)
+    return (k - a, -1)
+
+
+def adapted_chambers(narr: Arrangement, cells: list, frame: Arrangement, l0: int) -> list:
+    """The bounded chambers of ``frame = adapted_frame(narr, l0)``, selected
+    from ``cells = chambers(narr)`` without a new walk.
+
+    The frame's line at infinity is L: y' = -eps (see :func:`adapted_frame`),
+    so its bounded chambers are the cells of RP^2 minus the lines that L does
+    not cross.  A projective cell is a bounded face of ``narr``, or two
+    unbounded faces with opposite signs, glued across the line at infinity.
+
+    *Selection.*  L meets the n lines in n distinct points, l0 at infinity
+    among them, so it crosses n cells: the arrangement is not a pencil, so
+    each cell is convex in some chart and L crosses it at most once.  No
+    vertex lies in the strip between L and l0, so these are the cells that
+    touch l0 from below: a face with ``signs[l0] < 0`` and a vertex on l0.
+    Every other cell is kept.
+
+    *Side.*  A kept face with ``signs[l0] > 0`` lies above l0, so y' > -eps.
+    A kept face with ``signs[l0] < 0`` has no vertex on l0 and does not meet
+    L; its vertices have y' <= -2 eps, so it lies on the side y' < -eps.
+
+    *Signs.*  The frame maps P to N P for an integer N with det N > 0, as
+    det M3 = eps and the shear has determinant 1, and l_j to l_j adj(N).  So
+    at a point P with Z > 0, l_j adj(N) N P = det(N) l_j(P), and N P has
+    third coordinate of the sign of y' + eps.  The frame sign of a cell on
+    line j is therefore its basic sign times sign(b_j) sign(b~_j) times
+    +1 on the side y' > -eps and -1 on the other, where b~_j is the
+    y-coefficient of l_j adj(N) before it is canonicalized.  That factor
+    is read from slopes: N sends (1 : s : 0), l0's direction, to (1 : 0 : 0),
+    so the x-coefficient of l_j adj(N) has the sign of a_j + b_j s; the
+    verified frame slopes are positive, so b~_j has the opposite sign, and
+    sign(b_j) sign(b~_j) = sign(s_j - s) for j != l0.  For l0 it is +1.
+    Both faces of a glued pair give the same frame signs, as their basic
+    signs and their sides are opposite.
+
+    *Vertices and corners.*  Basic points map to frame points with the same
+    lines.  The map keeps orientation on the side y' > -eps and reverses it
+    on the other, so a cell's counterclockwise vertices are those of its
+    upper face, then those of its lower face reversed, started at the least
+    frame id as :func:`chambers` starts a bounded chamber.  Each corner is
+    read off the frame signs by :func:`_corner`.
+    """
+    lines = narr.lines
+    line0 = lines[l0]
+    flip = [
+        1 if j == l0 else _sign((line0.a * l.b - l.a * line0.b) * line0.b * l.b)  # sign(s_j - s)
+        for j, l in enumerate(lines)
+    ]
+    frame_id = {frozenset(q.line_ids): q.index for q in frame.points}
+    to_frame = [frame_id[frozenset(p.line_ids)] for p in narr.points]
+    on_l0 = {p.index for p in narr.points if l0 in p.line_ids}
+    unbounded = {c.signs: c for c in cells if not c.bounded}
+    out = []
+    for c in cells:
+        side = c.signs[l0]
+        if c.bounded:
+            if side < 0 and not on_l0.isdisjoint(c.vertex_ids):
+                continue
+            verts = c.vertex_ids if side > 0 else c.vertex_ids[::-1]
+        else:
+            if side < 0:
+                continue  # taken up with the face of its pair above l0
+            lower = unbounded[tuple(-x for x in c.signs)]
+            if not on_l0.isdisjoint(lower.vertex_ids):
+                continue
+            verts = c.vertex_ids + lower.vertex_ids[::-1]
+        signs = tuple(x * f * side for x, f in zip(c.signs, flip))
+        verts = [to_frame[v] for v in verts]
+        first = verts.index(min(verts))
+        verts = tuple(verts[first:] + verts[:first])
+        corners = tuple(_corner(signs, frame.points[v].line_ids) for v in verts)
+        out.append(Chamber(len(out), signs, True, verts, len(verts), corners))
+    return out
 
 
 def normalize(arr: Arrangement, seed: int = 0):
     """Return an equivalent normalized arrangement and the map that made it.
 
-    The returned record holds the exact 3x3 rational point map and the seed,
-    and allows exact inverse mapping.  Incidences are preserved, since every
-    frame maps the input's points (checked in :func:`transform`); line
-    indices are unchanged.
+    The returned record holds the exact 3x3 rational point map and the seed.
+    Incidences are preserved, since every frame maps the input's points
+    (checked in :func:`transform`); line indices are unchanged.
     """
     out, M = _normalize_basic(arr, random.Random(seed))
     return out, NormalizationRecord(M, seed)

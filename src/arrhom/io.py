@@ -282,7 +282,7 @@ def build_report(
         certs = []
         for lid in range(arr.n):
             try:
-                cert = beta_certificate(narr, system, lid)
+                cert = beta_certificate(narr, rep.chambers, system, lid)
             except (NormalizationFailed, PencilNotCovered) as exc:
                 certs.append({"line": lid, "status": f"unavailable: {exc}"})
                 continue

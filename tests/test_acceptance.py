@@ -156,8 +156,9 @@ def test_criterion_5_beta_certificates(general_corpus):
             skipped += 1
             continue
         narr = normalize(arr, i)[0]
+        cells = chambers(narr)
         for lid in range(arr.n):
-            cert = beta_certificate(narr, system, lid)
+            cert = beta_certificate(narr, cells, system, lid)
             built += 1
             if not cert.all_in_kernel:
                 failures.append((i, lid, "membership"))

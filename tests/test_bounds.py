@@ -3,7 +3,7 @@ import pytest
 from arrhom.bounds import beta_certificate, cdo_bound, r0_bound, sharp_pair_report
 from arrhom.errors import PencilNotCovered
 from arrhom.fuzz import corpus, sharp_corpus
-from arrhom.geometry import Arrangement, Line, normalize
+from arrhom.geometry import Arrangement, Line, chambers, normalize
 from arrhom.homology import h1
 from arrhom.local_system import LocalSystem, resonant_points
 from conftest import pencil
@@ -60,8 +60,9 @@ def test_pencil_not_covered():
     res = resonant_points(arr, ls)
     with pytest.raises(PencilNotCovered):
         r0_bound(arr, res, 0)
+    narr = normalize(arr, 0)[0]
     with pytest.raises(PencilNotCovered):
-        beta_certificate(normalize(arr, 0)[0], ls, 0)
+        beta_certificate(narr, chambers(narr), ls, 0)
     # the sum bound still applies and is attained
     assert cdo_bound(arr, res, 0) == 2
     assert h1(arr, ls).h1 == 2
@@ -69,8 +70,9 @@ def test_pencil_not_covered():
 
 def test_beta_certificate_quadrilateral(quadrilateral, quadrilateral_system):
     narr = normalize(quadrilateral, 0)[0]
+    cells = chambers(narr)
     for lid in range(6):
-        cert = beta_certificate(narr, quadrilateral_system, lid)
+        cert = beta_certificate(narr, cells, quadrilateral_system, lid)
         assert cert.ok
         assert cert.n_r0 == 2 and cert.n_a_prime == 4
         assert len(set(cert.neighbors.values())) == 3
@@ -79,7 +81,8 @@ def test_beta_certificate_quadrilateral(quadrilateral, quadrilateral_system):
 
 
 def test_beta_certificate_formula_specializations(quadrilateral, quadrilateral_system):
-    cert = beta_certificate(normalize(quadrilateral, 0)[0], quadrilateral_system, 0)
+    narr = normalize(quadrilateral, 0)[0]
+    cert = beta_certificate(narr, chambers(narr), quadrilateral_system, 0)
     for qid, resonant_flag, vec in cert.betas:
         assert vec, "a neighbor always contributes a nonzero vector"
     # non-resonant double-point neighbors contribute plain differences,
@@ -107,8 +110,9 @@ def test_beta_certificates_on_fuzz():
         if len(inst.arrangement.points) <= 1:
             continue
         narr = normalize(inst.arrangement, i)[0]
+        cells = chambers(narr)
         for lid in range(inst.arrangement.n):
-            cert = beta_certificate(narr, inst.system, lid)
+            cert = beta_certificate(narr, cells, inst.system, lid)
             assert cert.ok, (i, lid)
             checked += 1
     assert checked > 10

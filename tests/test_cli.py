@@ -6,9 +6,10 @@ import pytest
 from arrhom import cli
 from arrhom.cli import main
 from arrhom.cyclo import MAX_ORDER
-from arrhom.geometry import Line, mat_apply_point, normalize
+from arrhom.geometry import Line, normalize
 from arrhom.io import MAX_DIGITS, parse_instance, parse_rational, rational_str
 from arrhom.errors import ParseError
+from frame_helpers import mat_apply_point
 
 
 A3_DOC = {
@@ -283,6 +284,21 @@ def test_float_values_file(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["h1"] == 1 and report["oracle"] is None
+
+
+def test_fuzz_trials_are_bounded_before_any_corpus_is_built(capsys, monkeypatch):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("a corpus was built for an out-of-range --trials")
+
+    monkeypatch.setattr(cli, "corpus", no_corpus)
+    monkeypatch.setattr(cli, "sharp_corpus", no_corpus)
+    for trials in (cli.MAX_TRIALS + 1, 10**12):
+        for extra in ((), ("--sharp-only",)):
+            code, out, err = _run(capsys, "fuzz", "--trials", str(trials), *extra)
+            assert (code, out) == (1, "")
+            assert "--trials" in err and str(cli.MAX_TRIALS) in err and "Traceback" not in err
+    # the bound itself is accepted
+    cli._check_fuzz_args(cli._build_parser().parse_args(["fuzz", "--trials", str(cli.MAX_TRIALS)]))
 
 
 def test_fuzz_zero_trials(capsys):

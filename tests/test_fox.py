@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from arrhom.cyclo import CycloNumber
-from arrhom.geometry import Arrangement, Line, incidence_signature, intersections
+from arrhom.geometry import Arrangement, Line, intersections
 from arrhom.fox import decone, fox_complex, oracle_h1, presentation, wiring_diagram
 from arrhom.fuzz import corpus
 from arrhom.homology import h1
 from arrhom.local_system import LocalSystem
 from conftest import GRID_LINES, pencil
+from frame_helpers import incidence_signature
 
 
 def test_decone_two_lines():

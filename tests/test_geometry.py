@@ -15,14 +15,13 @@ from arrhom.geometry import (
     Line,
     _pair_component_labels,
     _verify_adapted_single,
+    adapted_chambers,
     adapted_frame,
     chambers,
     euler_characteristic,
-    incidence_signature,
     intersections,
     mat_identity,
     mat_det,
-    mat_inverse,
     mat_mul,
     normalize,
     sharp_pairs,
@@ -30,6 +29,7 @@ from arrhom.geometry import (
     zaslavsky_bounded_count,
 )
 from conftest import interior_points_at, pencil, signs_at
+from frame_helpers import incidence_signature, mat_inverse
 
 
 def test_line_canonicalization():
@@ -107,7 +107,7 @@ def test_normalize_quadrilateral_preserves_poset(quadrilateral):
     again = rec.apply(quadrilateral)
     assert again.lines == out.lines
     # and is exactly invertible
-    assert mat_mul(rec.matrix, rec.inverse_matrix()) == mat_identity()
+    assert mat_mul(rec.matrix, mat_inverse(rec.matrix)) == mat_identity()
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -374,18 +374,43 @@ def test_adapted_frame_needs_a_normalized_arrangement(quadrilateral):
         adapted_frame(quadrilateral, 0)
 
 
-def test_adapted_frame_exists_along_every_line():
-    # one projective map of the basic frame, never a search: it must exist
-    # for every line of every instance with more than one point
+@pytest.fixture(scope="module")
+def corpus_frames():
+    """(instance index, basic frame, its chambers, l0, adapted frame) for every line
+    of every instance with more than one point in three corpora."""
     insts = corpus(20240810, 150) + corpus(7, 150) + sharp_corpus(3, 100)
-    frames = 0
+    out = []
     for k, inst in enumerate(insts):
         if len(inst.arrangement.points) <= 1:
             continue
         narr = normalize(inst.arrangement, k)[0]
+        cells = chambers(narr)
         for l0 in range(narr.n):
-            out = adapted_frame(narr, l0)
-            _verify_adapted_single(out, l0)
-            assert incidence_signature(out) == incidence_signature(narr), (k, l0)
-            frames += 1
-    assert frames >= 2000
+            out.append((k, narr, cells, l0, adapted_frame(narr, l0)))
+    return out
+
+
+def test_adapted_frame_exists_along_every_line(corpus_frames):
+    # one projective map of the basic frame, never a search: it must exist
+    # for every line of every instance with more than one point
+    for k, narr, _cells, l0, out in corpus_frames:
+        _verify_adapted_single(out, l0)
+        assert incidence_signature(out) == incidence_signature(narr), (k, l0)
+    assert len(corpus_frames) >= 2000
+
+
+def _chamber_set(cells):
+    """Chambers as (signs, vertices, corners); their order and ids are not compared."""
+    return {(c.signs, c.vertex_ids, c.corners) for c in cells}
+
+
+def test_adapted_chambers_match_a_fresh_walk(corpus_frames):
+    # the cells selected from the basic frame's walk are the bounded chambers
+    # of a walk of the adapted frame itself
+    for k, narr, cells, l0, frame in corpus_frames:
+        fresh = [c for c in chambers(frame) if c.bounded]
+        derived = adapted_chambers(narr, cells, frame, l0)
+        assert len(derived) == len(fresh), (k, l0)
+        assert _chamber_set(derived) == _chamber_set(fresh), (k, l0)
+        assert all(c.bounded and c.edge_count == len(c.vertex_ids) for c in derived)
+

@@ -58,8 +58,9 @@ def test_beta_certificate_checks_the_base_line_is_slope_minimal(
         return basis, rows
 
     monkeypatch.setattr(bounds, "relation_matrix", reversed_basis)
+    narr = normalize(quadrilateral, 0)[0]
     with pytest.raises(InvariantError, match="slope-minimal"):
-        bounds.beta_certificate(normalize(quadrilateral, 0)[0], quadrilateral_system, 0)
+        bounds.beta_certificate(narr, geometry.chambers(narr), quadrilateral_system, 0)
 
 
 def test_beta_certificate_checks_each_line_has_a_lowest_point(
@@ -73,8 +74,9 @@ def test_beta_certificate_checks_each_line_has_a_lowest_point(
         return frame
 
     monkeypatch.setattr(bounds, "adapted_frame", without_points_off_base)
+    narr = normalize(quadrilateral, 0)[0]
     with pytest.raises(InvariantError, match="no unique lowest point"):
-        bounds.beta_certificate(normalize(quadrilateral, 0)[0], quadrilateral_system, 0)
+        bounds.beta_certificate(narr, geometry.chambers(narr), quadrilateral_system, 0)
 
 
 def test_decone_checks_the_monodromy_at_infinity(quadrilateral, quadrilateral_system, monkeypatch):

@@ -1,10 +1,11 @@
 """How often one report or one trial runs each expensive step.
 
 h1, the chambers, the resonant set and the sharp pairs are computed once per
-frame and handed to the checks, and the intersection points once per input:
-every other frame, the Fox oracle's chart included, maps them.  Each counted function is wrapped wherever
-its object is bound (``from .geometry import chambers`` copies the binding
-into the importing module), so calls from every module are seen.
+basic frame and handed to the checks (a certificate selects its chambers from
+that walk), and the intersection points once per input: every other frame,
+the Fox oracle's chart included, maps them.  Each counted function is wrapped
+wherever its object is bound (``from .geometry import chambers`` copies the
+binding into the importing module), so calls from every module are seen.
 """
 
 import json
@@ -77,13 +78,13 @@ def test_one_report_computes_each_fact_once(calls, quad_file, capsys):
     assert calls == {"h1": 1, "chambers": 1, "normalize": 1, "sharp_pairs": 1, "intersections": 1}
 
 
-def test_certificates_add_one_chamber_walk_each(calls, quad_file, capsys):
+def test_certificates_walk_no_chambers(calls, quad_file, capsys):
+    # each certificate selects its chambers from the report's one walk
     assert main(["h1", quad_file, "--no-oracle", "--certificates"]) == 0
     certs = json.loads(capsys.readouterr().out)["beta_certificates"]
-    built = sum(1 for c in certs if not c["status"].startswith("unavailable"))
-    assert built > 0
+    assert len(certs) == 6 and all(c["status"] == "ok" for c in certs)
     assert calls["h1"] == 1
-    assert calls["chambers"] == 1 + built
+    assert calls["chambers"] == 1
     assert calls["intersections"] == 1  # the input's; each frame maps its points
 
 
@@ -116,29 +117,31 @@ def test_trials_intersect_each_input_once(calls):
 
 def test_a_certificate_maps_the_basic_frame_once(calls, monkeypatch, quadrilateral_system):
     # the adapted frame is one projective map of the report's basic frame:
-    # no normalization search and no intersection of lines
+    # no normalization search, no intersection of lines and no chamber walk
     transforms = Counter()
     _track(monkeypatch, transforms, "transform", geometry, "transform")
     grid = Arrangement([Line.from_coeffs(*l) for l in GRID_LINES])
     grid_system = LocalSystem(order=3, exponents=[1] * 9)
     for arr, system in ((Arrangement(QUADRILATERAL_LINES), quadrilateral_system), (grid, grid_system)):
-        narr = homology.h1(arr, system).arrangement
-        for l0 in range(narr.n):
+        rep = homology.h1(arr, system)
+        for l0 in range(rep.arrangement.n):
             calls.clear()
             transforms.clear()
-            assert bounds.beta_certificate(narr, system, l0).ok
+            assert bounds.beta_certificate(rep.arrangement, rep.chambers, system, l0).ok
             assert transforms["transform"] == 1
-            assert calls["normalize"] == 0 and calls["intersections"] == 0
+            assert calls["normalize"] == 0 and calls["intersections"] == 0 and calls["chambers"] == 0
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_trial_normalizes_three_times_whatever_n(calls, n):
-    # exact, float and one reseeded frame; the certificates normalize nothing
+    # exact, float and one reseeded frame; the certificates normalize and
+    # walk nothing
     inst = fuzz.corpus(11, 1, n_range=(n, n))[0]
     calls.clear()
     result = run_trial(inst.arrangement, inst.system, all_decones=True, with_certificate=True, extra_seeds=1)
     assert result.ok, result.violations
     assert calls["normalize"] == 3
+    assert calls["chambers"] == 3
 
 
 def test_one_certificate_runs_at_most_three_ranks(monkeypatch, quadrilateral, quadrilateral_system):
@@ -146,9 +149,10 @@ def test_one_certificate_runs_at_most_three_ranks(monkeypatch, quadrilateral, qu
     ranks = Counter()
     _track(monkeypatch, ranks, "rank", cyclo, "rank")
     narr = geometry.normalize(quadrilateral, 0)[0]
+    cells = geometry.chambers(narr)
     for l0 in range(narr.n):
         ranks.clear()
-        cert = bounds.beta_certificate(narr, quadrilateral_system, l0)
+        cert = bounds.beta_certificate(narr, cells, quadrilateral_system, l0)
         assert cert.ok and cert.betas
         assert ranks["rank"] <= 3
 
