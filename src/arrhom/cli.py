@@ -7,11 +7,20 @@ seed give byte-identical output; diagnostics go to stderr.
 Exit codes: 0 success, 1 parse error, 2 admissibility rejection, 3 internal
 consistency failure (oracle or chamber-count mismatch).  The environment
 variable ARR_SEED overrides --seed.
+
+The argument parser is built on the first :func:`main` call and reused by
+later calls in the same process.  Only callers that run several commands
+in one process (the tests, the benchmark harness) gain from this; a
+one-shot ``arrhom`` process builds it once either way.  ``parse_args``
+returns a fresh namespace on every call and the parser keeps no state
+between calls, so repeated in-process calls print what one-shot processes
+print.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -226,6 +235,7 @@ def _histogram(values) -> dict:
     return dict(sorted(out.items()))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arrhom",

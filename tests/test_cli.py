@@ -67,6 +67,39 @@ def test_h1_byte_stability(a3_file, capsys):
     assert out1 == out2
 
 
+def _run_or_exit(capsys, argv):
+    """(exit code, stdout, stderr) of one call, a usage error's SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_parser_serves_every_call_of_a_process(a3_file, capsys):
+    # the cached parser carries nothing from one call to the next: a mixed
+    # sequence prints what a freshly built parser prints for each call
+    sequence = [
+        ["h1", a3_file, "--float", "--seed", "2"],
+        ["h1", a3_file],
+        ["h1", a3_file, "--certificates", "--no-oracle"],
+        ["h1", a3_file, "--seed", "two"],
+        ["validate", a3_file],
+        ["h1", a3_file],
+    ]
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(_run_or_exit(capsys, argv))
+    cli._build_parser.cache_clear()
+    reused = [_run_or_exit(capsys, argv) for argv in sequence]
+    assert cli._build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0, 0, 0, ("SystemExit", 2), 0, 0]
+    assert "usage: arrhom h1" in reused[3][2]
+
+
 def test_h1_float_mode(a3_file, capsys):
     code, out, _ = _run(capsys, "h1", a3_file, "--float")
     assert code == 0

@@ -15,7 +15,7 @@ import arrhom
 from arrhom import bounds, cyclo, fox, geometry
 from arrhom.cli import main
 from arrhom.errors import ArrhomError, InvariantError
-from arrhom.geometry import IntersectionPoint, normalize
+from arrhom.geometry import Arrangement, IntersectionPoint, normalize
 from arrhom.homology import angle_basis, point_rows
 from arrhom.local_system import LocalSystem, ResonantSet
 
@@ -74,6 +74,26 @@ def test_beta_certificate_checks_each_line_has_a_lowest_point(
         return frame
 
     monkeypatch.setattr(bounds, "adapted_frame", without_points_off_base)
+    narr = normalize(quadrilateral, 0)[0]
+    with pytest.raises(InvariantError, match="no unique lowest point"):
+        bounds.beta_certificate(narr, geometry.chambers(narr), quadrilateral_system, 0)
+
+
+def test_beta_certificate_checks_the_lowest_point_is_unique(
+    quadrilateral, quadrilateral_system, monkeypatch
+):
+    # every point off the base line gets a twin at the same place, so each
+    # line of A' has two lowest points; a mapped frame cannot have them
+    # (transform rejects coincident points), so the points are given directly
+    real = bounds.adapted_frame
+
+    def with_twin_points(narr, l0):
+        frame = real(narr, l0)
+        off = [p for p in frame.points if l0 not in p.line_ids]
+        twins = [IntersectionPoint(len(frame.points) + k, p.coords, p.line_ids) for k, p in enumerate(off)]
+        return Arrangement(frame.lines, frame.points + twins)
+
+    monkeypatch.setattr(bounds, "adapted_frame", with_twin_points)
     narr = normalize(quadrilateral, 0)[0]
     with pytest.raises(InvariantError, match="no unique lowest point"):
         bounds.beta_certificate(narr, geometry.chambers(narr), quadrilateral_system, 0)
