@@ -29,7 +29,7 @@ the vertex's lines in slope order, as in the walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .cyclo import rank
 from .errors import InvariantError, PencilNotCovered
@@ -218,10 +218,7 @@ def _effective_constant_order(system: LocalSystem) -> int | None:
     ks = set(system.exponents)
     if len(ks) != 1:
         return None
-    k = ks.pop()
-    from math import gcd
-
-    return system.order // gcd(system.order, k)
+    return system.order // gcd(system.order, ks.pop())
 
 
 def sharp_pair_report(arr: Arrangement, system: LocalSystem, h1_value: int) -> SharpPairReport:

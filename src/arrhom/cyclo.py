@@ -30,9 +30,10 @@ exact.
 
 A row is a map from column to value, as its builder made it; an absent
 entry is zero.  A floating-point fallback exists for monodromy values that
-are not roots of unity: rows of ``complex`` numbers fill a dense matrix over
-the columns that occur, eliminated with partial pivoting and a relative
-tolerance.  Rows must be all-exact or all-float; mixtures raise
+are not roots of unity: copies of rows of ``complex`` numbers are
+eliminated as maps, with partial pivoting and a relative tolerance, and
+choose the same pivots as a dense elimination of the same rows would
+(:func:`rank_float`).  Rows must be all-exact or all-float; mixtures raise
 :class:`~arrhom.errors.ModeMismatch`.
 """
 
@@ -674,37 +675,48 @@ def rank_exact(rows, upper: int | None = None) -> int:
 def rank_float(rows) -> int:
     """Rank of rows that map columns to complex numbers, with partial pivoting.
 
-    The rows, empty ones included, fill a dense matrix over the columns that
-    occur; an absent column is all zero and would never give a pivot.  A
-    pivot counts when its magnitude exceeds 1e-9 times the largest entry
-    magnitude of the matrix; the threshold is a documented heuristic.
+    Copies of the rows are eliminated as maps over the sorted columns that
+    occur; an absent entry is zero.  For column c the pivot is the first
+    remaining row of largest magnitude there, and it counts when that
+    exceeds 1e-9 times the largest entry magnitude; the threshold is a
+    documented heuristic.  A swap moves it to the top of the remaining rows,
+    empty ones included, and each remaining row with a nonzero entry at c is
+    reduced at the pivot row's entries in columns >= c.
+
+    A dense elimination of the same rows makes the same choices.  It also
+    subtracts f * 0j where the pivot row holds a zero, which changes at most
+    the sign of a zero; finite arithmetic carries such a difference only
+    into signs of zeros, and neither ``abs`` nor ``!= 0`` sees one.  So both
+    choose the same pivots and give the same rank.
     """
-    col = {j: i for i, j in enumerate(sorted({j for r in rows for j in r}))}
-    nrows, ncols = len(rows), len(col)
-    m = [[0j] * ncols for _ in rows]
-    for dense, r in zip(m, rows):
-        for j, x in r.items():
+    for r in rows:
+        for x in r.values():
             if not isinstance(x, _FLOATS):
                 raise _mismatch(x)
-            dense[col[j]] = complex(x)
-    scale = max((abs(x) for r in m for x in r), default=0.0)
+    m = [{j: complex(x) for j, x in r.items()} for r in rows]
+    scale = max((abs(x) for row in m for x in row.values()), default=0.0)
     if scale == 0.0:
         return 0
     thresh = _PIVOT_TOL * scale
+    nrows = len(m)
     r = 0
-    for c in range(ncols):
+    for c in sorted({j for row in m for j in row}):
         piv, best = None, thresh
         for i in range(r, nrows):
-            if abs(m[i][c]) > best:
-                piv, best = i, abs(m[i][c])
+            x = abs(m[i].get(c, 0j))
+            if x > best:
+                piv, best = i, x
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            if m[i][c] != 0:
-                f = m[i][c] / m[r][c]
-                for j in range(c, ncols):
-                    m[i][j] -= f * m[r][j]
+        p = m[r][c]
+        tail = [(j, v) for j, v in m[r].items() if j >= c]
+        for row in m[r + 1:]:
+            x = row.get(c)
+            if x:  # present and nonzero
+                f = x / p
+                for j, v in tail:
+                    row[j] = row.get(j, 0j) - f * v
         r += 1
         if r == nrows:
             break

@@ -24,10 +24,6 @@ class NotNormalized(ArrhomError):
 class NormalizationFailed(ArrhomError):
     """The randomized normalization search exhausted its retry budget."""
 
-    def __init__(self, message, seed=None):
-        super().__init__(message if seed is None else f"{message} (seed={seed})")
-        self.seed = seed
-
 
 class NotALocalSystem(ArrhomError):
     """Monodromy data violates the product-one constraint."""

@@ -52,9 +52,7 @@ class DeconedArrangement:
     are allowed, their crossing having moved to infinity.  ``crossings`` are
     the chart's affine intersection points in (x, y) order, each as
     ``((x, y), wires)`` with ``wires`` the positions of its lines in
-    ``lines``.  ``monodromy`` are the unchanged per-line values;
-    ``infinity_monodromy`` records their product, the total turning around
-    the removed line, which must equal the inverse of that line's own value.
+    ``lines``.  ``monodromy`` are the unchanged per-line values.
     """
 
     lines: tuple
@@ -62,8 +60,6 @@ class DeconedArrangement:
     crossings: tuple
     monodromy: tuple
     monodromy_inverse: tuple
-    removed: int
-    infinity_monodromy: object = None
 
 
 def decone(arr: Arrangement, system: LocalSystem, line_id: int):
@@ -104,8 +100,6 @@ def decone(arr: Arrangement, system: LocalSystem, line_id: int):
         crossings=crossings,
         monodromy=mon,
         monodromy_inverse=tuple(system.m_inverse(i) for i in rest_ids),
-        removed=line_id,
-        infinity_monodromy=turning,
     )
 
 
@@ -256,7 +250,7 @@ def fox_complex(pres: GroupPresentation, dec: DeconedArrangement):
     return d2, d1
 
 
-def oracle_h1(arr: Arrangement, system: LocalSystem, line_id: int | None = None, seed: int = 0) -> int:
+def oracle_h1(arr: Arrangement, system: LocalSystem, line_id: int = 0, seed: int = 0) -> int:
     """Twisted first Betti number through the fundamental group route.
 
     ``seed`` is accepted for existing callers and ignored: the chart of
@@ -265,8 +259,6 @@ def oracle_h1(arr: Arrangement, system: LocalSystem, line_id: int | None = None,
     system.require_admissible(arr)
     if arr.n < 2:
         raise ValueError("need an arrangement of at least 2 lines")
-    if line_id is None:
-        line_id = 0
     dec = decone(arr, system, line_id)
     pres = presentation(dec)
     g = len(pres.generators)

@@ -24,7 +24,7 @@ from .errors import DuplicateLine, NormalizationFailed
 from .fox import oracle_h1
 from .geometry import Arrangement, Line, sharp_pairs
 from .homology import h1, point_rows, sector_sums
-from .local_system import LocalSystem, resonant_points
+from .local_system import LocalSystem
 
 __all__ = [
     "Instance",
@@ -329,11 +329,10 @@ def run_trial(
                 )
 
     pencil = len(arr.points) <= 1
-    resonant = resonant_points(arr, system)
     for lid in range(arr.n):
-        if rep.h1 > cdo_bound(arr, resonant, lid):
+        if rep.h1 > cdo_bound(narr, res, lid):
             violations.append(f"CDO bound violated along line {lid}")
-        if not pencil and rep.h1 > r0_bound(arr, resonant, lid):
+        if not pencil and rep.h1 > r0_bound(narr, res, lid):
             violations.append(f"resonant-count bound violated along line {lid}")
 
     if res.point_ids:

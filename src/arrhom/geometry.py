@@ -422,9 +422,7 @@ def _normalize_basic(arr: Arrangement, rng: random.Random, retries: int = 64):
             cand = transform(arr, M)
             if cand.is_normalized:
                 return cand, M
-    raise NormalizationFailed(
-        f"basic normalization failed after {retries} attempts", seed=None
-    )
+    raise NormalizationFailed(f"basic normalization failed after {retries} attempts")
 
 
 def _pair_component_labels(arr: Arrangement, li: Line, lj: Line):

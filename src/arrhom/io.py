@@ -22,7 +22,7 @@ from .errors import NormalizationFailed, ParseError, PencilNotCovered
 from .fox import oracle_h1
 from .geometry import Arrangement, Line
 from .homology import h1
-from .local_system import LocalSystem, resonant_points
+from .local_system import LocalSystem
 
 __all__ = [
     "MAX_DIGITS",
@@ -180,20 +180,16 @@ def _record_dict(record) -> dict:
     }
 
 
-def _point_dict(arr, p, resonant) -> dict:
-    out = {
+def _point_dict(p, resonant) -> dict:
+    """A point of the basic frame, which has no point at infinity."""
+    return {
         "id": p.index,
         "lines": list(p.line_ids),
         "multiplicity": p.multiplicity,
         "resonant": p.index in resonant,
+        "x": rational_str(p.x),
+        "y": rational_str(p.y),
     }
-    if p.is_infinite:
-        out["at_infinity"] = True
-        out["direction"] = [rational_str(p.coords[0]), rational_str(p.coords[1])]
-    else:
-        out["x"] = rational_str(p.x)
-        out["y"] = rational_str(p.y)
-    return out
 
 
 def build_report(
@@ -208,16 +204,17 @@ def build_report(
     narr = rep.arrangement
     sp = sharp_pair_report(arr, system, rep.h1)
     pencil = len(arr.points) <= 1
-    resonant = resonant_points(arr, system)
 
+    # the basic frame is a projective image of the input: the same line ids,
+    # multiplicities and resonant points on each line
     per_line = []
     for lid in range(arr.n):
-        entry = {"line": lid, "cdo": cdo_bound(arr, resonant, lid)}
+        entry = {"line": lid, "cdo": cdo_bound(narr, rep.resonant, lid)}
         if pencil:
             entry["r0"] = None
             entry["r0_note"] = "bound not applicable to pencils"
         else:
-            entry["r0"] = r0_bound(arr, resonant, lid)
+            entry["r0"] = r0_bound(narr, rep.resonant, lid)
         per_line.append(entry)
     finite_bounds = [e["cdo"] for e in per_line] + [
         e["r0"] for e in per_line if e["r0"] is not None
@@ -228,7 +225,7 @@ def build_report(
         "normalization": _record_dict(rep.record),
         "census": {
             "lines": arr.n,
-            "points": [_point_dict(narr, p, rep.resonant) for p in narr.points],
+            "points": [_point_dict(p, rep.resonant) for p in narr.points],
             "resonant_points": list(rep.resonant.point_ids),
             "bounded_chambers": rep.num_chamber_rows,
             "zaslavsky_ok": rep.zaslavsky_ok,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .geometry import Arrangement, sharp_pairs
+from .geometry import Arrangement, chambers, sharp_pairs
 from .local_system import LocalSystem, resonant_points
 
 __all__ = ["render_svg"]
@@ -28,8 +28,6 @@ def render_svg(arr: Arrangement, system: LocalSystem | None = None) -> str:
     to some sharp pair carry the class ``sharp``.  The arrangement must be
     normalized (the command-line tool normalizes before rendering).
     """
-    from .geometry import chambers  # local import keeps module load light
-
     pts = arr.points
     if pts:
         xs = [p.x for p in pts]

@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from arrhom import bounds, cyclo, fox, fuzz, geometry, homology
+from arrhom import bounds, cyclo, fox, fuzz, geometry, homology, local_system
 from arrhom.cli import main
 from arrhom.cyclo import CycloNumber
 from arrhom.fuzz import run_trial
@@ -76,6 +76,15 @@ def quad_file(tmp_path):
 def test_one_report_computes_each_fact_once(calls, quad_file, capsys):
     assert main(["h1", quad_file, "--no-oracle"]) == 0
     assert calls == {"h1": 1, "chambers": 1, "normalize": 1, "sharp_pairs": 1, "intersections": 1}
+
+
+def test_one_report_finds_the_resonant_points_once(monkeypatch, quad_file, capsys):
+    # the per-line bounds read the basic frame's resonant set from the report
+    counter = Counter()
+    _track(monkeypatch, counter, "resonant_points", local_system, "resonant_points")
+    assert main(["h1", quad_file, "--no-oracle"]) == 0
+    assert json.loads(capsys.readouterr().out)["bounds"]["min"] == 1
+    assert counter == {"resonant_points": 1}
 
 
 def test_certificates_walk_no_chambers(calls, quad_file, capsys):
