@@ -4,8 +4,11 @@ Lines live in the real projective plane and are stored as primitive integer
 covectors (a, b, c) for a*x + b*y + c*z = 0.  Intersection points are exact
 projective points; an arrangement is *normalized* when every line has a
 finite slope, slopes are pairwise distinct and every intersection point is
-affine.  Normalization is a seeded search over rational projective maps,
-verified in full, so failures are loud and reproducible rather than silent.
+affine.  Normalization is a seeded search over rational projective maps.
+Each candidate is screened on the input's integers (:func:`_normalizes`)
+and only the accepted one is transformed and verified in full, so failures
+are loud and reproducible rather than silent.  :func:`normalize` keeps its
+frame per seed on the input.
 The adapted frame of a neighbor certificate is one further projective map of
 a normalized frame, which always exists (see :func:`adapted_frame`).  Its
 bounded chambers are selected from the normalized frame's walk, not walked
@@ -24,6 +27,9 @@ line ids, since incidence is projectively invariant.  An incidence-signature
 comparison would then hold by construction, so each mapped figure is checked
 instead by integer evaluation: every mapped point lies on exactly its own
 lines, and no two mapped points coincide; a failure raises InvariantError.
+A frame is built in one integer pass (:func:`_figure`): the mapped points,
+their (x, y) order, each point's line ids in slope order, from integer
+slope ranks computed once per frame, and that check.
 
 Chambers of a normalized arrangement come from one walk over the faces of
 the planar figure.  The points sorted along each line give its segments and
@@ -31,7 +37,9 @@ its two rays, and the lines at each point are already slope-sorted, so the
 next boundary edge of a face is read off the ccw order of directions at a
 vertex, or of ray directions at infinity.  The same walk records, at every
 vertex of a chamber, which angle between consecutive lines the chamber
-fills and on which side of the vertical it lies.
+fills and on which side of the vertical it lies.  The walk reads line signs
+as integer forms, and a normalized frame keeps it, so every report and check
+that reads one frame shares one walk.
 """
 
 from __future__ import annotations
@@ -62,7 +70,6 @@ __all__ = [
     "euler_characteristic",
     "intersections",
     "mat_identity",
-    "mat_mul",
     "normalize",
     "sharp_pairs",
     "transform",
@@ -76,20 +83,21 @@ def _sign(x) -> int:
 
 def _canonical_triple(a, b, c):
     """Scale a rational triple to a primitive integer one, first nonzero > 0."""
-    if type(a) is int and type(b) is int and type(c) is int:
-        ia, ib, ic = a, b, c
-    else:
+    if not (type(a) is int and type(b) is int and type(c) is int):
         a, b, c = Fraction(a), Fraction(b), Fraction(c)
         denom = lcm(a.denominator, b.denominator, c.denominator)
-        ia, ib, ic = int(a * denom), int(b * denom), int(c * denom)
-    g = gcd(ia, ib, ic)
-    if g == 0:
+        a, b, c = int(a * denom), int(b * denom), int(c * denom)
+    if not (a or b or c):
         raise ValueError("zero triple")
-    ia, ib, ic = ia // g, ib // g, ic // g
-    lead = ia if ia else (ib if ib else ic)
-    if lead < 0:
-        ia, ib, ic = -ia, -ib, -ic
-    return (ia, ib, ic)
+    return _primitive(a, b, c)
+
+
+def _primitive(u, v, w) -> tuple:
+    """A nonzero integer triple divided by its gcd, first nonzero entry > 0."""
+    g = gcd(u, v, w)
+    if (u or v or w) < 0:
+        g = -g
+    return (u // g, v // g, w // g)
 
 
 @dataclass(frozen=True)
@@ -168,25 +176,60 @@ def _cross(l1: Line, l2: Line):
     return (X, Y, Z)
 
 
-def _indexed(groups) -> list:
-    """Intersection points from (coords, line ids) pairs, in key order.
+def _slope_ranks(lines):
+    """Each line's place in slope order, or None when a line is vertical or
+    two slopes coincide.
+
+    With L the lcm of the |b|, the integer -a (L // b) is L times the slope
+    -a/b, so these integers order the slopes exactly.
+    """
+    if not all(l.b for l in lines):
+        return None
+    L = lcm(*(l.b for l in lines))
+    keys = [-l.a * (L // l.b) for l in lines]
+    order = sorted(range(len(lines)), key=keys.__getitem__)
+    if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
+        return None
+    ranks = [0] * len(lines)
+    for r, i in enumerate(order):
+        ranks[i] = r
+    return tuple(ranks)
+
+
+def _figure(lines, ranks, groups, check=False) -> list:
+    """Intersection points from (coords, line ids) pairs, in one pass.
 
     Affine points come first by (x, y), then points at infinity by their
     primitive (X, Y).  With D the lcm of the affine |Z|, the integers
-    D (x, y) order the affine points exactly.
+    D (x, y) order the affine points exactly.  A point's line ids are in
+    slope order (``ranks``) when the figure is normalized, in index order
+    otherwise.
+
+    With ``check``, every line is evaluated at every point: each point must
+    lie on exactly its own lines, and no two points may coincide; a failure
+    is a fault in the frame change, not in the input, and raises
+    InvariantError.
     """
     groups = list(groups)
-    D = 1
-    for (_X, _Y, Z), _ids in groups:
-        if Z:
-            D = lcm(D, Z)
+    if check:
+        forms = [(l.a, l.b, l.c) for l in lines]
+        for (X, Y, Z), ids in groups:
+            on = tuple(i for i, (a, b, c) in enumerate(forms) if a * X + b * Y + c * Z == 0)
+            if on != tuple(sorted(ids)):
+                raise InvariantError(f"mapped point {(X, Y, Z)} lies on lines {list(on)}, not {sorted(ids)}")
+        if len({coords for coords, _ids in groups}) != len(groups):
+            raise InvariantError("two mapped intersection points coincide")
+    D = lcm(*(Z for (_X, _Y, Z), _ids in groups if Z))
 
     def key(group):
         X, Y, Z = group[0]
         return (0, X * (D // Z), Y * (D // Z)) if Z else (1, X, Y)
 
-    ordered = sorted(groups, key=key)
-    return [IntersectionPoint(idx, coords, tuple(sorted(ids))) for idx, (coords, ids) in enumerate(ordered)]
+    by = ranks.__getitem__ if ranks is not None and all(Z for (_X, _Y, Z), _ids in groups) else None
+    return [
+        IntersectionPoint(idx, coords, tuple(sorted(ids, key=by)))
+        for idx, (coords, ids) in enumerate(sorted(groups, key=key))
+    ]
 
 
 def intersections(lines) -> list:
@@ -201,7 +244,7 @@ def intersections(lines) -> list:
     for i, j in itertools.combinations(range(len(lines)), 2):
         key = _canonical_triple(*_cross(lines[i], lines[j]))
         groups.setdefault(key, set()).update((i, j))
-    return _indexed(groups.items())
+    return _figure(lines, _slope_ranks(lines), groups.items())
 
 
 class Arrangement:
@@ -209,7 +252,11 @@ class Arrangement:
 
     ``points``, when given, are the intersection points already known (a
     projective image maps them, see :func:`transform`); otherwise they are
-    computed from the lines on first use.
+    computed from the lines on first use.  The slope order of the lines is
+    computed once, with the arrangement.  :func:`normalize` keeps its frame
+    per seed on the arrangement it normalizes, and :func:`chambers` keeps
+    the walk of a normalized arrangement on it; both are immutable, so
+    every caller may share them.
     """
 
     def __init__(self, lines, points=None):
@@ -219,9 +266,11 @@ class Arrangement:
         if not lines:
             raise ValueError("arrangement needs at least one line")
         self.lines = lines
-        self._given_points = points
-        self._points = None
+        self._ranks = _slope_ranks(lines)
+        self._points = points
         self._normalized = None
+        self._frames = {}  # seed -> (frame, or None for this arrangement; record)
+        self._walk = None
 
     @property
     def n(self) -> int:
@@ -230,32 +279,13 @@ class Arrangement:
     @property
     def points(self):
         if self._points is None:
-            pts = self._given_points
-            if pts is None:
-                pts = intersections(self.lines)
-            if self._compute_normalized(pts):
-                slopes = [l.slope for l in self.lines]
-                pts = [
-                    IntersectionPoint(p.index, p.coords, tuple(sorted(p.line_ids, key=slopes.__getitem__)))
-                    for p in pts
-                ]
-            self._points = pts
+            self._points = intersections(self.lines)
         return self._points
-
-    def _compute_normalized(self, pts) -> bool:
-        if self._normalized is None:
-            ok = all(not l.is_vertical for l in self.lines)
-            if ok:
-                slopes = [l.slope for l in self.lines]
-                ok = len(set(slopes)) == len(slopes)
-            if ok:
-                ok = all(not p.is_infinite for p in pts)
-            self._normalized = ok
-        return self._normalized
 
     @property
     def is_normalized(self) -> bool:
-        self.points  # forces the cached computation
+        if self._normalized is None:
+            self._normalized = self._ranks is not None and all(p.coords[2] for p in self.points)
         return self._normalized
 
     def points_on_line(self, line_id: int):
@@ -292,14 +322,6 @@ def _integer_matrix(A):
     return tuple(tuple(q.numerator * (den // q.denominator) for q in row) for row in A), den
 
 
-def mat_mul(A, B):
-    (NA, da), (NB, db) = _integer_matrix(A), _integer_matrix(B)
-    return tuple(
-        tuple(Fraction(sum(NA[i][k] * NB[k][j] for k in range(3)), da * db) for j in range(3))
-        for i in range(3)
-    )
-
-
 def mat_det(A):
     return (
         A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
@@ -320,25 +342,10 @@ def _adjugate(A):
     )
 
 
-def _map_point(N, P):
-    """N P for an integer matrix N, as a primitive projective triple."""
-    return _canonical_triple(*(N[i][0] * P[0] + N[i][1] * P[1] + N[i][2] * P[2] for i in range(3)))
-
-
-def _check_mapped(lines, points):
-    """Each mapped point lies on exactly its own lines, and no two coincide.
-
-    Integer evaluation of every line at every point; a failure is a fault in
-    the frame change, not in the input.
-    """
-    for p in points:
-        on = tuple(i for i, l in enumerate(lines) if l.hom_eval(*p.coords) == 0)
-        if on != p.line_ids:
-            raise InvariantError(
-                f"mapped point {p.coords} lies on lines {list(on)}, not {list(p.line_ids)}"
-            )
-    if len({p.coords for p in points}) != len(points):
-        raise InvariantError("two mapped intersection points coincide")
+def _map_points(N, coords) -> list:
+    """N P at each point P, for an integer matrix N, as primitive triples."""
+    (a, b, c), (d, e, f), (g, h, i) = N
+    return [_primitive(a * X + b * Y + c * Z, d * X + e * Y + f * Z, g * X + h * Y + i * Z) for X, Y, Z in coords]
 
 
 def transform(arr: Arrangement, M) -> Arrangement:
@@ -347,20 +354,22 @@ def transform(arr: Arrangement, M) -> Arrangement:
     M is scaled by the lcm of its denominators to an integer matrix N.  Lines
     map to l adj(N), which is l M^{-1} up to scale, and the arrangement's
     points map to N P with their line ids, since incidence is projectively
-    invariant; nothing is intersected again.  :func:`_check_mapped` verifies
-    the mapped figure.
+    invariant; nothing is intersected again.  :func:`_figure` orders the
+    mapped points and verifies the mapped figure in the same pass, and the
+    frame's slope order comes from integer ranks computed once.
     """
     N, _den = _integer_matrix(M)
     if mat_det(N) == 0:
         raise ValueError("singular transformation")
-    adj = _adjugate(N)
-    lines = tuple(
-        Line(*_canonical_triple(*(l.a * adj[0][j] + l.b * adj[1][j] + l.c * adj[2][j] for j in range(3))))
+    (A, B, C), (D, E, F), (G, H, I) = _adjugate(N)
+    frame = Arrangement(
+        Line(*_primitive(l.a * A + l.b * D + l.c * G, l.a * B + l.b * E + l.c * H, l.a * C + l.b * F + l.c * I))
         for l in arr.lines
     )
-    points = _indexed((_map_point(N, p.coords), p.line_ids) for p in arr.points)
-    _check_mapped(lines, points)
-    return Arrangement(lines, points)
+    pts = arr.points
+    mapped = zip(_map_points(N, [p.coords for p in pts]), (p.line_ids for p in pts))
+    frame._points = _figure(frame.lines, frame._ranks, mapped, check=True)
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +401,41 @@ def _shear_x(t):
     )
 
 
+def _normalizes(arr: Arrangement, N) -> bool:
+    """Whether ``transform(arr, N)`` is normalized, read off the input's lines.
+
+    That frame's lines are l adj(N) = (a, b, c) up to scale.  It is
+    normalized exactly when every b != 0 and the pairs (a, b) reduced to
+    b > 0 are distinct, one per slope -a/b.  Its points are then affine: a
+    point (X : Y : 0) on two lines with b != 0 has X != 0, and both lines
+    have slope Y / X.
+    """
+    (A, B, _C), (D, E, _F), (G, H, _I) = _adjugate(N)
+    slopes = set()
+    for l in arr.lines:
+        a, b = l.a * A + l.b * D + l.c * G, l.a * B + l.b * E + l.c * H
+        if not b:
+            return False
+        g = gcd(a, b) if b > 0 else -gcd(a, b)
+        slopes.add((a // g, b // g))
+    return len(slopes) == arr.n
+
+
 def _normalize_basic(arr: Arrangement, rng: random.Random, retries: int = 64):
+    """The first candidate map (x : y : 1) -> (x + t y : y : u x + v y + 1)
+    whose frame is normalized.
+
+    Each candidate is screened on the input's integers (:func:`_normalizes`)
+    and only the accepted one is transformed; its frame is still checked.
+    """
     if arr.is_normalized:
         return arr, mat_identity()
     pts = arr.points
     has_infinite = any(p.is_infinite for p in pts)
+    one, zero = Fraction(1), Fraction(0)
     for attempt in range(retries):
-        if not has_infinite:
-            M1 = mat_identity()
-        else:
+        u = v = 0
+        if has_infinite:
             bound = 3 + attempt
             u, v = rng.randint(-bound, bound), rng.randint(-bound, bound)
             w = Line.from_coeffs(u, v, 1)
@@ -408,19 +443,17 @@ def _normalize_basic(arr: Arrangement, rng: random.Random, retries: int = 64):
                 continue
             if w in arr.lines:
                 continue
-            M1 = (
-                (Fraction(1), Fraction(0), Fraction(0)),
-                (Fraction(0), Fraction(1), Fraction(0)),
-                (Fraction(u), Fraction(v), Fraction(1)),
-            )
         for t_try in range(6):
             if t_try == 0:
-                t = Fraction(0)
+                t = zero
             else:
                 t = Fraction(rng.randint(1, 8 * t_try), rng.randint(1, 5)) * rng.choice((1, -1))
-            M = mat_mul(_shear_x(t), M1)
-            cand = transform(arr, M)
-            if cand.is_normalized:
+            p, q = t.numerator, t.denominator
+            if _normalizes(arr, ((q, p, 0), (0, q, 0), (q * u, q * v, q))):
+                M = ((one, t, zero), (zero, one, zero), (Fraction(u), Fraction(v), one))
+                cand = transform(arr, M)
+                if not cand.is_normalized:
+                    raise InvariantError("a screened normalization candidate maps to a frame that is not normalized")
                 return cand, M
     raise NormalizationFailed(f"basic normalization failed after {retries} attempts")
 
@@ -447,11 +480,22 @@ def sharp_pairs(arr: Arrangement) -> list:
 
     A pair is sharp when one of the two components of the projective plane
     minus the two lines contains no intersection point of the arrangement.
+    A pair's sign products over the points off both lines are read in point
+    order, and the first product that differs from an earlier one settles
+    the pair as not sharp.
     """
-    signs = [[_sign(l.hom_eval(*p.coords)) for l in arr.lines] for p in arr.points]
+    coords = [p.coords for p in arr.points]
+    signs = [[_sign(l.a * X + l.b * Y + l.c * Z) for X, Y, Z in coords] for l in arr.lines]
     out = []
     for i, j in itertools.combinations(range(arr.n), 2):
-        if len({s[i] * s[j] for s in signs if s[i] and s[j]}) < 2:
+        first = 0
+        for x, y in zip(signs[i], signs[j]):
+            s = x * y
+            if s and s != first:
+                if first:
+                    break
+                first = s
+        else:
             out.append((i, j))
     return out
 
@@ -644,8 +688,13 @@ def normalize(arr: Arrangement, seed: int = 0):
     Incidences are preserved, since every frame maps the input's points
     (checked in :func:`transform`); line indices are unchanged.
     """
-    out, M = _normalize_basic(arr, random.Random(seed))
-    return out, NormalizationRecord(M, seed)
+    got = arr._frames.get(seed)
+    if got is None:
+        out, M = _normalize_basic(arr, random.Random(seed))
+        # an input that is already normalized is its own frame, kept as None
+        # so that it does not refer to itself
+        got = arr._frames[seed] = (None if out is arr else out, NormalizationRecord(M, seed))
+    return (arr if got[0] is None else got[0]), got[1]
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +748,7 @@ def _sector(slot: int, k: int) -> tuple:
     return (slot - k + 1, -1)
 
 
-def chambers(arr: Arrangement) -> list:
+def chambers(arr: Arrangement) -> tuple:
     """All chambers of the affine real figure of a normalized arrangement.
 
     Each face is walked once, with the face on the left of its half-edges.
@@ -713,22 +762,41 @@ def chambers(arr: Arrangement) -> list:
 
     Chambers are numbered as the vertical decomposition orders them: by the
     leftmost slab they meet, then by the number of lines below them there.
+
+    The arrangement keeps its walk: a frame is walked once, however many
+    reports and checks read it.  The walk is a tuple of frozen chambers.
     """
     if not arr.is_normalized:
         raise NotNormalized("chamber enumeration needs a normalized arrangement")
+    if arr._walk is None:
+        arr._walk = _walk(arr)
+    return arr._walk
+
+
+def _walk(arr: Arrangement) -> tuple:
+    """The face walk of :func:`chambers`, on integers only.
+
+    The slope order is the arrangement's integer ranks, and the x order of
+    the points compares X_P Z_Q with X_Q Z_P.  The side of line j at an
+    affine point (X : Y : Z) with Z > 0 is the sign of a_j X + b_j Y + c_j Z
+    for the covector scaled to b_j > 0.
+    """
     n = arr.n
     lines = arr.lines
-    slopes = [l.slope for l in lines]
-    by_slope = sorted(range(n), key=slopes.__getitem__)
-    slope_rank = {i: r for r, i in enumerate(by_slope)}
+    pts = arr.points
+    slope_rank = arr._ranks
+    by_slope = sorted(range(n), key=slope_rank.__getitem__)
     on_line = [[] for _ in range(n)]  # x-sorted, as arr.points is
     place = {}  # (line, point id) -> position on the line
-    for p in arr.points:
+    for p in pts:
         for i in p.line_ids:
             place[i, p.index] = len(on_line[i])
             on_line[i].append(p)
-    xs = [p.x for p in arr.points]  # ascending, so the leftmost point has the least id
-    x_rank = list(itertools.accumulate(int(a != b) for a, b in zip(xs, xs[:1] + xs)))
+    # the points ascend in x, so the leftmost point has the least id
+    x_rank = [0]
+    for (X, _Y, Z), (X2, _Y2, Z2) in zip((p.coords for p in pts), (p.coords for p in pts[1:])):
+        x_rank.append(x_rank[-1] + (X * Z2 != X2 * Z))
+    forms = [(l.a, l.b, l.c) if l.b > 0 else (-l.a, -l.b, -l.c) for l in lines]
 
     def step(he):
         """The next half-edge of the face, and (vertex, slot) where it starts."""
@@ -739,7 +807,7 @@ def chambers(arr: Arrangement) -> list:
             j = by_slope[g % n]
             return ((j, len(on_line[j]), -1) if g < n else (j, 0, 1)), None
         p = on_line[i][t]
-        k = p.multiplicity
+        k = len(p.line_ids)
         slot = (p.line_ids.index(i) + (k if d > 0 else 0) - 1) % (2 * k)
         j = p.line_ids[slot % k]
         pos = place[j, p.index]
@@ -748,48 +816,48 @@ def chambers(arr: Arrangement) -> list:
     def signs_at(he):
         """Line signs of the face on the left of a half-edge, read on it.
 
-        The side of line j at an affine point (X : Y : Z) with Z > 0 is
-        sign(a_j X + b_j Y + c_j Z) sign(b_j).  A segment PQ is read at
-        |Z_Q| P + |Z_P| Q, its midpoint; a ray from P at P +- Z_P (b_i, -a_i, 0).
+        A segment PQ is read at |Z_Q| P + |Z_P| Q, its midpoint; a ray from P
+        at P +- Z_P (b_i, -a_i, 0).
         """
         i, s, d = he
-        pts = on_line[i]
-        if 0 < s < len(pts):
-            P, Q = _upper(pts[s - 1].coords), _upper(pts[s].coords)
-            at = tuple(Q[2] * u + P[2] * v for u, v in zip(P, Q))
-        elif pts:
-            li = lines[i]
-            P = _upper(pts[0].coords if s == 0 else pts[-1].coords)
-            t = P[2] * (-1 if s == 0 else 1) * _sign(li.b)
-            at = (P[0] + t * li.b, P[1] - t * li.a, P[2])
+        on = on_line[i]
+        if 0 < s < len(on):
+            P, Q = _upper(on[s - 1].coords), _upper(on[s].coords)
+            X, Y, Z = (Q[2] * u + P[2] * v for u, v in zip(P, Q))
+        elif on:
+            a, b, _c = forms[i]
+            X, Y, Z = _upper(on[0].coords if s == 0 else on[-1].coords)
+            t = -Z if s == 0 else Z
+            X, Y = X + t * b, Y - t * a
         else:  # a lone line: its point at x = 0
-            at = _upper((0, -lines[i].c, lines[i].b))
-        return tuple(d if j == i else _sign(l.hom_eval(*at)) * _sign(l.b) for j, l in enumerate(lines))
+            X, Y, Z = 0, -forms[i][2], forms[i][1]
+        signs = [(v > 0) - (v < 0) for v in [a * X + b * Y + c * Z for a, b, c in forms]]
+        signs[i] = d
+        return tuple(signs)
 
     seen = set()
     faces = []
     for i in range(n):
         for s in range(len(on_line[i]) + 1):
             for d in (1, -1):
-                walk = []  # (half-edge, (vertex, slot) at its end or None)
                 he = (i, s, d)
+                hes, ends = [], []  # the half-edges, and (vertex, slot) at the end of each or None
                 while he not in seen:
                     seen.add(he)
-                    nxt, end = step(he)
-                    walk.append((he, end))
-                    he = nxt
-                if not walk:
+                    hes.append(he)
+                    he, end = step(he)
+                    ends.append(end)
+                if not hes:
                     continue
-                ends = [end for _he, end in walk]
                 bounded = None not in ends
                 if bounded:  # start with the half-edge into the leftmost vertex
-                    first = min(range(len(ends)), key=lambda a: ends[a][0].index)
+                    ids = [p.index for p, _slot in ends]
+                    first = ids.index(min(ids))
                 else:  # start with the half-edge from infinity
                     first = (ends.index(None) + 1) % len(ends)
-                walk = walk[first:] + walk[:first]
-                ends = [end for _he, end in walk if end is not None]
-                signs = signs_at(walk[0][0])
-                if any(seg == 0 for (_i, seg, _d), _end in walk):
+                ends = [end for end in ends[first:] + ends[:first] if end is not None]
+                signs = signs_at(hes[first])
+                if any(he[1] == 0 for he in hes):
                     slab = 0  # the face meets the leftmost slab
                 else:
                     slab = 1 + x_rank[min(p.index for p, _slot in ends)]
@@ -798,8 +866,8 @@ def chambers(arr: Arrangement) -> list:
                     signs,
                     bounded,
                     tuple(p.index for p, _slot in ends),
-                    len(walk),
-                    tuple(_sector(slot, p.multiplicity) for p, slot in ends),
+                    len(hes),
+                    tuple(_sector(slot, len(p.line_ids)) for p, slot in ends),
                 ))
     faces.sort(key=lambda f: f[0])
-    return [Chamber(idx, *f[1:]) for idx, f in enumerate(faces)]
+    return tuple(Chamber(idx, *f[1:]) for idx, f in enumerate(faces))

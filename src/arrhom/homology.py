@@ -209,7 +209,7 @@ class HomologyReport:
     record: NormalizationRecord
     arrangement: Arrangement = field(repr=False)
     resonant: ResonantSet = field(repr=False)
-    chambers: list = field(repr=False)
+    chambers: tuple = field(repr=False)  # the frame's walk, shared with the frame
     basis: AngleBasis = field(repr=False)
     rows: list = field(repr=False)
 

@@ -7,7 +7,11 @@ either ``order`` with integer ``exponents`` or float ``values`` as [re, im]
 pairs.  Rationals are serialized back as strings so nothing is lost.
 
 Reports are plain dicts; serialized with sorted keys they are byte-stable
-for a fixed input and seed.
+for a fixed input and seed.  :func:`report_to_json` writes exactly the text
+of ``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, without the
+pure-Python encoder that ``json`` uses whenever ``indent`` is set: strings,
+ints and floats are written by the same C-level functions ``json`` calls,
+and containers by one recursive join.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .bounds import beta_certificate, cdo_bound, r0_bound, sharp_pair_report
 from .cyclo import MAX_ORDER
@@ -302,5 +307,75 @@ def build_report(
     return report
 
 
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _leaf(x) -> str:
+    """The JSON text of a scalar, as ``json.dumps`` writes it."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x in (math.inf, -math.inf):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _encode(x, pad: str) -> str:
+    """The JSON text of a dict, list or tuple nested at ``pad``."""
+    if not x:
+        return "{}" if isinstance(x, dict) else "[]"
+    inner = pad + "  "
+    parts = []
+    if isinstance(x, dict):
+        for key in x:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        for key in sorted(x):
+            v = x[key]
+            t = type(v)
+            if t is str:
+                text = _quote(v)
+            elif t is int:
+                text = int.__repr__(v)
+            elif isinstance(v, (dict, list, tuple)):
+                text = _encode(v, inner)
+            else:
+                text = _leaf(v)
+            parts.append(_quote(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    for v in x:
+        t = type(v)
+        if t is str:
+            text = _quote(v)
+        elif t is int:
+            text = int.__repr__(v)
+        elif isinstance(v, (dict, list, tuple)):
+            text = _encode(v, inner)
+        else:
+            text = _leaf(v)
+        parts.append(text)
+    return "[" + inner + ("," + inner).join(parts) + pad + "]"
+
+
+def report_to_json(report) -> str:
+    """Exactly ``json.dumps(report, sort_keys=True, indent=2) + "\\n"``.
+
+    ``json`` falls back to its pure-Python encoder whenever ``indent`` is
+    set, so the text is written here directly, with the same C-level
+    leaves: ``encode_basestring_ascii`` for strings, ``int.__repr__`` and
+    ``float.__repr__`` (NaN and the infinities as ``json`` spells them).
+    Scalars are written inline in the container loops.  Keys must be str
+    (reports have no other); any other key or an unsupported value raises
+    TypeError.
+    """
+    if isinstance(report, (dict, list, tuple)):
+        return _encode(report, "\n") + "\n"
+    return _leaf(report) + "\n"

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -363,6 +366,14 @@ def test_fuzz_worker_pool(tmp_path, capsys, monkeypatch):
     assert summary["trials"] == 4 and summary["violations"] == 0
 
 
+def test_only_a_fuzz_pool_imports_multiprocessing():
+    # a process pool costs every command about 30 ms and 2.6 MB at start-up
+    code = "import sys, arrhom.cli; print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 class _RecordingPool:
     """A stand-in for ProcessPoolExecutor that records its size and runs in
     this process, so no test ever starts a worker per requested job."""
@@ -392,7 +403,7 @@ def test_fuzz_pool_is_at_most_jobs_trials_and_cpus(tmp_path, capsys, monkeypatch
     argv = ("fuzz", "--trials", "3", "--seed", "5", "--max-lines", "4")
     serial = _run(capsys, *argv)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert _run(capsys, *argv, "--jobs", str(jobs)) == serial
     assert _RecordingPool.sizes == ([] if size is None else [size])

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrhom.errors import DuplicateLine, NotNormalized
+from arrhom import geometry
+from arrhom.errors import DuplicateLine, InvariantError, NotNormalized
 from arrhom.fox import decone
 from arrhom.fuzz import corpus, sharp_corpus
 from arrhom.geometry import (
@@ -22,14 +23,13 @@ from arrhom.geometry import (
     intersections,
     mat_identity,
     mat_det,
-    mat_mul,
     normalize,
     sharp_pairs,
     transform,
     zaslavsky_bounded_count,
 )
 from conftest import interior_points_at, pencil, signs_at
-from frame_helpers import incidence_signature, mat_inverse
+from frame_helpers import incidence_signature, mat_inverse, mat_mul
 
 
 def test_line_canonicalization():
@@ -124,6 +124,73 @@ def test_normalize_random_projective_images(quadrilateral, seed):
     out, _rec = normalize(moved, seed=seed)
     assert out.is_normalized
     assert incidence_signature(out) == incidence_signature(quadrilateral)
+
+
+def _grid(a):
+    """The triangular grid x = i, y = j (0 <= i, j < a), x + y = c (1 <= c <= 2a - 3)."""
+    return Arrangement(
+        [Line.from_coeffs(1, 0, -i) for i in range(a)]
+        + [Line.from_coeffs(0, 1, -j) for j in range(a)]
+        + [Line.from_coeffs(1, 1, -c) for c in range(1, 2 * a - 2)]
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: [(inst.arrangement, k) for k, inst in enumerate(corpus(20240810, 150))],
+        lambda: [(inst.arrangement, k) for k, inst in enumerate(corpus(7, 150))],
+        lambda: [(inst.arrangement, k) for k, inst in enumerate(sharp_corpus(3, 100))],
+        lambda: [(_grid(a), seed) for a in (3, 5, 9) for seed in range(8)],
+    ],
+    ids=["corpus-20240810", "corpus-7", "sharp-corpus-3", "grids-9-17-33"],
+)
+def test_screen_accepts_a_candidate_iff_its_frame_is_normalized(make, monkeypatch):
+    # every candidate map the search draws is screened on the input's
+    # integers; the screen must say exactly what a full transform says
+    drawn = []
+    real = geometry._normalizes
+
+    def recording(arr, N):
+        drawn.append((arr, N, real(arr, N)))
+        return drawn[-1][2]
+
+    monkeypatch.setattr(geometry, "_normalizes", recording)
+    searched = 0
+    for arr, seed in make():
+        if not arr.is_normalized:
+            searched += 1
+            normalize(Arrangement(arr.lines), seed)
+    assert sum(ok for _arr, _N, ok in drawn) == searched  # the first accepted one is kept
+    for arr, N, ok in drawn:
+        assert transform(arr, N).is_normalized == ok, (arr.lines, N)
+    assert len(drawn) > searched  # some candidates were rejected
+
+
+def test_screen_agrees_with_transform_on_random_maps():
+    # small random maps also send points to infinity, which the search's
+    # candidates never do
+    rng = random.Random(5)
+    verdicts = set()
+    for inst in corpus(20240810, 150):
+        arr = inst.arrangement
+        for _ in range(4):
+            N = tuple(tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3))
+            if mat_det(N) == 0:
+                continue
+            frame = transform(arr, N)
+            ok = geometry._normalizes(arr, N)
+            assert ok == frame.is_normalized, (arr.lines, N)
+            verdicts.add((ok, all(not p.is_infinite for p in frame.points)))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def test_a_screened_candidate_is_checked_after_its_transform(quadrilateral, monkeypatch):
+    # the quadrilateral's vertical lines stay vertical under the first
+    # candidate (no shear), so a screen that accepted it would be caught
+    monkeypatch.setattr(geometry, "_normalizes", lambda arr, N: True)
+    with pytest.raises(InvariantError, match="not normalized"):
+        normalize(quadrilateral, 0)
 
 
 def _reintersect(lines):
@@ -338,8 +405,11 @@ def test_sharp_pairs_quadrilateral_brute_force(quadrilateral):
 
 
 def test_sharp_pairs_match_pair_component_labels():
-    # the one-sign-table sharp_pairs against the per-pair labels
-    insts = corpus(20240810, 100) + corpus(7, 100) + sharp_corpus(3, 100)
+    # the one-sign-table sharp_pairs, which stops at a pair's second distinct
+    # sign product, against the per-pair labels over every point; sign
+    # products are projectively invariant, so the basic frame agrees too
+    insts = corpus(20240810, 150) + corpus(7, 100) + sharp_corpus(3, 100)
+    sharp = 0
     for k, inst in enumerate(insts):
         arr = inst.arrangement
         ref = [
@@ -348,6 +418,9 @@ def test_sharp_pairs_match_pair_component_labels():
             if len(_pair_component_labels(arr, arr.lines[i], arr.lines[j])) < 2
         ]
         assert sharp_pairs(arr) == ref, k
+        assert sharp_pairs(normalize(arr, k)[0]) == ref, k
+        sharp += bool(ref)
+    assert sharp >= 150
 
 
 def test_euler_characteristic_examples(quadrilateral, generic_triangle):

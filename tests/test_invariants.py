@@ -123,15 +123,19 @@ def test_cyclotomic_polynomial_checks_exact_division(monkeypatch):
 
 def _perturb_mapped_point(monkeypatch, which):
     """Shift the image of the ``which``-th point a frame change maps."""
-    real = geometry._map_point
+    real = geometry._map_points
     mapped = []
 
-    def faulty(N, P):
-        X, Y, Z = real(N, P)
-        mapped.append(P)
-        return (X + 1, Y, Z) if len(mapped) == which + 1 else (X, Y, Z)
+    def faulty(N, coords):
+        out = real(N, coords)
+        k = which - len(mapped)
+        mapped.extend(out)
+        if 0 <= k < len(out):
+            X, Y, Z = out[k]
+            out[k] = (X + 1, Y, Z)
+        return out
 
-    monkeypatch.setattr(geometry, "_map_point", faulty)
+    monkeypatch.setattr(geometry, "_map_points", faulty)
 
 
 @pytest.mark.parametrize("which", [0, 3, 6])
@@ -144,11 +148,11 @@ def test_transform_checks_each_mapped_point_lies_on_its_lines(quadrilateral, mon
 
 
 def test_transform_checks_mapped_points_are_distinct(quadrilateral):
-    pts = quadrilateral.points
-    geometry._check_mapped(quadrilateral.lines, pts)
-    twice = pts + [IntersectionPoint(len(pts), pts[0].coords, pts[0].line_ids)]
+    groups = [(p.coords, p.line_ids) for p in quadrilateral.points]
+    geometry._figure(quadrilateral.lines, None, groups, check=True)
+    twice = groups + [groups[0]]
     with pytest.raises(InvariantError, match="coincide"):
-        geometry._check_mapped(quadrilateral.lines, twice)
+        geometry._figure(quadrilateral.lines, None, twice, check=True)
 
 
 def test_invariant_failure_exits_3(tmp_path, capsys, monkeypatch):

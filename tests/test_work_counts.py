@@ -3,7 +3,9 @@
 h1, the chambers, the resonant set and the sharp pairs are computed once per
 basic frame and handed to the checks (a certificate selects its chambers from
 that walk), and the intersection points once per input: every other frame,
-the Fox oracle's chart included, maps them.  Each counted function is wrapped
+the Fox oracle's chart included, maps them.  A normalization transforms only
+the candidate map its integer screen accepts, and a frame keeps its walk, so
+the exact and float h1 of a trial share one.  Each counted function is wrapped
 wherever its object is bound (``from .geometry import chambers`` copies the
 binding into the importing module), so calls from every module are seen.
 """
@@ -73,9 +75,13 @@ def quad_file(tmp_path):
     return str(path)
 
 
-def test_one_report_computes_each_fact_once(calls, quad_file, capsys):
+def test_one_report_computes_each_fact_once(calls, quad_file, capsys, monkeypatch):
+    _track(monkeypatch, calls, "transform", geometry, "transform")
+    _track(monkeypatch, calls, "walk", geometry, "_walk")
     assert main(["h1", quad_file, "--no-oracle"]) == 0
-    assert calls == {"h1": 1, "chambers": 1, "normalize": 1, "sharp_pairs": 1, "intersections": 1}
+    assert calls == {
+        "h1": 1, "chambers": 1, "walk": 1, "normalize": 1, "transform": 1, "sharp_pairs": 1, "intersections": 1
+    }
 
 
 def test_one_report_finds_the_resonant_points_once(monkeypatch, quad_file, capsys):
@@ -151,6 +157,48 @@ def test_trial_normalizes_three_times_whatever_n(calls, n):
     assert result.ok, result.violations
     assert calls["normalize"] == 3
     assert calls["chambers"] == 3
+
+
+def test_normalize_transforms_only_the_accepted_candidate(monkeypatch):
+    # candidates are screened on the input's integers: one transform per
+    # normalize of an input that is not normalized, none for one that is
+    transforms = Counter()
+    _track(monkeypatch, transforms, "transform", geometry, "transform")
+    grid = [Line.from_coeffs(*l) for l in GRID_LINES]
+    inputs = [QUADRILATERAL_LINES, grid] + [inst.arrangement.lines for inst in fuzz.corpus(20240810, 40)]
+    searched = 0
+    for k, lines in enumerate(inputs):
+        for seed in (k, k + 7919):
+            arr = Arrangement(lines)
+            transforms.clear()
+            geometry.normalize(arr, seed)
+            assert transforms["transform"] == (0 if arr.is_normalized else 1), (k, seed)
+            searched += not arr.is_normalized
+    assert searched >= 40
+
+
+def test_trial_walks_each_distinct_frame_once(monkeypatch):
+    # the exact and the float h1 share the basic frame and its walk; the
+    # reseeded frame is the input itself when the input is normalized
+    walks, frames = Counter(), set()
+    _track(monkeypatch, walks, "walk", geometry, "_walk")
+    real = geometry.chambers
+
+    def recording(arr):
+        frames.add(id(arr))
+        return real(arr)
+
+    _rebind(monkeypatch, real, recording)
+    normalized = 0
+    for i, inst in enumerate(fuzz.corpus(20240810, 30, n_range=(3, 6))):
+        arr = Arrangement(inst.arrangement.lines)
+        walks.clear()
+        frames.clear()
+        result = run_trial(arr, inst.system, seed=i, all_decones=arr.n <= 5, with_certificate=True, extra_seeds=1)
+        assert result.ok, result.violations
+        assert walks["walk"] == len(frames) == (1 if arr.is_normalized else 2), i
+        normalized += arr.is_normalized
+    assert 0 < normalized < 30
 
 
 def test_one_certificate_runs_at_most_three_ranks(monkeypatch, quadrilateral, quadrilateral_system):
