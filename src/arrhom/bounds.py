@@ -83,12 +83,6 @@ class BetaCertificate:
         return self.all_in_kernel and self.independent and self.counting_ok
 
 
-def _alpha_line_vector(basis, point_id, a_prime_sorted, line_id, one):
-    """Partial angle sum attached to a line through a resonant base point."""
-    i = a_prime_sorted.index(line_id) + 1
-    return {basis.column(point_id, j): one for j in range(1, i + 1)}
-
-
 def _vec_add(acc, vec, scale):
     for col, val in vec.items():
         cur = acc.get(col)
@@ -131,15 +125,16 @@ def beta_certificate(narr: Arrangement, cells: list, system: LocalSystem, l0: in
     basis, rel_rows = relation_matrix(frame, system, res, adapted_chambers(narr, cells, frame, l0))
     one = system.one()
 
-    # alpha(l) lives at the unique resonant base point that l passes through
+    # alpha(l) lives at the unique resonant base point that l passes through:
+    # for l the i-th line after l0 there, the sum of the point's first i angles
     alpha_of_line = {}
     for pid in r0:
         lines_at = basis.lines_at(pid)
         if lines_at[0] != l0:
             raise InvariantError(f"base line {l0} is not slope-minimal at point {pid}")
-        a_prime_sorted = list(lines_at[1:])
-        for lid in a_prime_sorted:
-            alpha_of_line[lid] = _alpha_line_vector(basis, pid, a_prime_sorted, lid, one)
+        start = basis.start[pid]
+        for i, lid in enumerate(lines_at[1:], 1):
+            alpha_of_line[lid] = dict.fromkeys(range(start, start + i), one)
 
     betas = []
     extra = []

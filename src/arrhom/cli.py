@@ -132,7 +132,7 @@ def _cmd_oracle(args) -> int:
     if not 0 <= args.line < arr.n:
         raise ParseError(f"must be a line index in 0..{arr.n - 1}, got {args.line}", "--line")
     system.require_admissible(arr)
-    value = oracle_h1(arr, system, args.line, seed=_seed(args))
+    value = oracle_h1(arr, system, args.line)
     _emit({"oracle_h1": value, "decone_line": args.line})
     return 0
 
@@ -270,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="independent h1 via Fox calculus")
     p.add_argument("input")
     p.add_argument("--line", type=int, default=0, help="line sent to infinity")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="ignored: the chart does not depend on it")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("fuzz", help="randomized consistency harness")

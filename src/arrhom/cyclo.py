@@ -16,8 +16,9 @@ element.  Monomials need no reduction: c zeta^a = c' zeta^b exactly when
 a = b and c = c', or when d is even, b = a + d/2 and c = -c'.
 
 Exact rank is computed from modular images, not over Q(zeta_d) itself.
-Scaling each row by the lcm of its coefficient denominators puts every
-entry in Z[zeta_d] without changing the rank r.  For a prime p = 1 (mod d)
+A row whose coefficients are all ints has its entries in Z[zeta_d] already;
+scaling a row that holds a ``Fraction`` by the lcm of its denominators puts
+its entries there too, without changing the rank r.  For a prime p = 1 (mod d)
 and a primitive d-th root w mod p, zeta -> w is a ring map Z[zeta_d] -> F_p,
 so the rank mod p never exceeds r, and it falls short only when p divides
 the norm N(Delta) of a fixed nonzero r x r minor Delta.  Every complex
@@ -553,7 +554,7 @@ def rank_prime(d: int, k: int) -> tuple:
 def _rank_mod(rows, p: int, w: int, exponents, cap: int) -> int:
     """Rank over F_p of integer rows under zeta -> w, by sparse elimination.
 
-    ``rows`` holds lists of (column, ((exponent, integer coefficient), ...));
+    ``rows`` holds lists of (column, exponent map with int coefficients);
     ``exponents`` are the exponents that occur, whose images w^k are
     computed once.  Each row is reduced against the pivot rows found so far,
     which are kept monic in their leading column.
@@ -563,7 +564,7 @@ def _rank_mod(rows, p: int, w: int, exponents, cap: int) -> int:
     for entries in rows:
         row = {}
         for col, terms in entries:
-            v = sum(c * powers[k] for k, c in terms) % p
+            v = sum(c * powers[k] for k, c in terms.items()) % p
             if v:
                 row[col] = v
         while row:
@@ -600,9 +601,12 @@ def rank_exact(rows, upper: int | None = None) -> int:
     """Rank over Q(zeta_d) of rows that map columns to :class:`CycloNumber`,
     certified from their images modulo primes.
 
-    Each row is scaled by the lcm of its coefficient denominators, which
-    leaves the rank r unchanged and puts every entry in Z[zeta_d].  For
-    primes p = 1 (mod d) from :func:`rank_prime`, the row images under
+    Each entry's own exponent map is eliminated.  A row whose coefficients
+    are all ``int`` lies in Z[zeta_d] as it is.  Any other row, one holding
+    a ``Fraction`` even with denominator 1, is scaled by the lcm of its
+    coefficient denominators into new int maps, which leaves the rank r
+    unchanged.  The test is on the type, so the norm bound and the
+    elimination see only ints.  For primes p = 1 (mod d) from :func:`rank_prime`, the row images under
     zeta -> w in F_p are eliminated sparsely.  The result is exact:
 
     - rank mod p <= r, since a nonzero minor mod p lifts to a nonzero minor;
@@ -629,7 +633,7 @@ def rank_exact(rows, upper: int | None = None) -> int:
     A nonzero map that sums to zero is kept; its images are 0 mod every p.
     Entries of another type or order raise a typed error.
     """
-    scaled = []  # nonzero rows as lists of (column, ((exponent, integer), ...))
+    int_rows = []  # nonzero rows as lists of (column, exponent map with int coefficients)
     exponents = set()
     columns = set()
     norms = 1  # product over rows of max(1, ||row||_2^2)
@@ -647,26 +651,26 @@ def rank_exact(rows, upper: int | None = None) -> int:
                 entries.append((j, x.terms))
         if not entries:
             continue
-        den = lcm(*(c.denominator for _j, t in entries for c in t.values()))
-        ints = [
-            (j, tuple((k, c.numerator * (den // c.denominator)) for k, c in t.items()))
-            for j, t in entries
-        ]
-        scaled.append(ints)
-        for j, ts in ints:
+        if not all(type(c) is int for _j, t in entries for c in t.values()):
+            den = lcm(*(c.denominator for _j, t in entries for c in t.values()))
+            entries = [
+                (j, {k: c.numerator * (den // c.denominator) for k, c in t.items()}) for j, t in entries
+            ]
+        int_rows.append(entries)
+        for j, t in entries:
             columns.add(j)
-            exponents.update(k for k, _c in ts)
-        norms *= sum(sum(abs(c) for _k, c in ts) ** 2 for _j, ts in ints)
-    if not scaled:
+            exponents.update(t)
+        norms *= sum(sum(map(abs, t.values())) ** 2 for _j, t in entries)
+    if not int_rows:
         return 0
-    cap = min(len(scaled), len(columns))
+    cap = min(len(int_rows), len(columns))
     if upper is not None:
         cap = min(cap, upper)
     need = euler_phi(order) * norms.bit_length()  # norms = H^2, H^(2 phi) < 2^need
     best, bits, k = 0, 0, 0
     while best < cap and 2 * bits < need:
         p, w = rank_prime(order, k)
-        best = max(best, _rank_mod(scaled, p, w, exponents, cap))
+        best = max(best, _rank_mod(int_rows, p, w, exponents, cap))
         bits += p.bit_length() - 1
         k += 1
     return best

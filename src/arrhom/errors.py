@@ -45,10 +45,6 @@ class NotAdjacent(ArrhomError):
     """A chamber coefficient was requested at a point that is not a vertex."""
 
 
-class UnboundedChamber(ArrhomError):
-    """A relation row was requested for an unbounded chamber."""
-
-
 class PencilNotCovered(ArrhomError):
     """The resonant-count bound does not apply to pencils (one intersection point)."""
 

@@ -49,6 +49,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import (
     DuplicateLine,
@@ -132,10 +133,6 @@ class Line:
         if self.b == 0:
             raise ValueError("vertical line has no intercept")
         return Fraction(-self.c, self.b)
-
-    def q(self, x, y) -> Fraction:
-        """The defining form y - slope*x - intercept (non-vertical lines)."""
-        return Fraction(y) - self.slope * Fraction(x) - self.intercept
 
     def hom_eval(self, X, Y, Z):
         return self.a * X + self.b * Y + self.c * Z
@@ -287,9 +284,6 @@ class Arrangement:
         if self._normalized is None:
             self._normalized = self._ranks is not None and all(p.coords[2] for p in self.points)
         return self._normalized
-
-    def points_on_line(self, line_id: int):
-        return [p for p in self.points if line_id in p.line_ids]
 
     def __repr__(self):
         return f"Arrangement({self.n} lines, {len(self.points)} points)"
@@ -458,23 +452,6 @@ def _normalize_basic(arr: Arrangement, rng: random.Random, retries: int = 64):
     raise NormalizationFailed(f"basic normalization failed after {retries} attempts")
 
 
-def _pair_component_labels(arr: Arrangement, li: Line, lj: Line):
-    """Signs of li*lj over intersection points off both lines.
-
-    The product sign is projectively well-defined and labels the two
-    components of the real projective plane minus the two lines.  Tests
-    use this per-pair form as the reference for :func:`sharp_pairs`.
-    """
-    labels = set()
-    for p in arr.points:
-        vi = li.hom_eval(*p.coords)
-        vj = lj.hom_eval(*p.coords)
-        if vi == 0 or vj == 0:
-            continue
-        labels.add(_sign(vi * vj))
-    return labels
-
-
 def sharp_pairs(arr: Arrangement) -> list:
     """All unordered line pairs with an empty complement component.
 
@@ -504,9 +481,9 @@ def adapted_frame(narr: Arrangement, l0: int) -> Arrangement:
     """The frame with l0 = {y = 0}, other slopes distinct positive, no point below l0.
 
     ``narr`` is a normalized arrangement, and the frame is one projective map
-    of it.  With l0 the line y = s x + b0, put y' = y - s x - b0, which is
-    ``line0.q``; eps is half the least |y'| over the points off l0.  The map
-    M3 sends (x : y : 1) to (x : y' : y' + eps), so it sends the line
+    of it.  With l0 the line y = s x + b0, put y' = y - s x - b0, the
+    defining form of l0; eps is half the least |y'| over the points off l0.
+    The map M3 sends (x : y : 1) to (x : y' : y' + eps), so it sends the line
     y' = -eps, parallel to l0, to infinity.  That frame always exists:
 
     - no other line passes through l0's point at infinity, since a
@@ -701,8 +678,7 @@ def normalize(arr: Arrangement, seed: int = 0):
 # chamber enumeration
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     """A connected component of the real plane minus the lines.
 
     ``signs`` records the side of every line.  ``vertex_ids`` are in
@@ -714,6 +690,9 @@ class Chamber:
     Angle i < k is the arc between l_i and l_{i+1}, right of the vertical
     (side 1) or left of it (side -1); the wrap-around angle k crosses the
     vertical (side 0).
+
+    A chamber is an immutable named tuple, so a walk builds each one without
+    a per-field ``object.__setattr__``.
     """
 
     index: int

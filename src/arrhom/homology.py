@@ -8,7 +8,10 @@ direction.  Relations come in two families:
 * two rows per resonant point, with coefficients 1 on every angle and with
   the partial products m(l_1)...m(l_i) on the angle (l_i, l_{i+1});
 * one row per bounded chamber, with a monodromy factor on the unique angle
-  the chamber subtends at each of its resonant vertices.
+  the chamber subtends at each of its resonant vertices.  The angle and the
+  side of the vertical it lies on are the walk's corner there; the factor
+  is 1 right of the vertical and on the wrap-around angle, and left of it
+  the partial product that the point's ``point-`` row holds on that angle.
 
 The first Betti number with coefficients in the local system is the number
 of angles minus the rank of the stacked relation matrix.
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cyclo import rank, rank_float
-from .errors import InvariantError, NotNormalized, NotResonant, UnboundedChamber
+from .errors import InvariantError, NotNormalized, NotResonant
 from .geometry import (
     Arrangement,
     Chamber,
@@ -36,14 +39,11 @@ __all__ = [
     "AngleBasis",
     "HomologyReport",
     "RelationRow",
-    "angle_basis",
-    "chamber_row",
     "h1",
     "lambda_coeff",
     "point_rows",
     "relation_matrix",
     "sector_sums",
-    "subtended_angle",
 ]
 
 
@@ -60,40 +60,37 @@ class Angle:
 
 
 class AngleBasis:
-    """Deterministically ordered angles over all resonant points."""
+    """Deterministically ordered angles over all resonant points.
+
+    Each resonant point's angles are one block of columns: angle i at point p
+    is column ``start[p] + i - 1``.
+    """
 
     def __init__(self, arr: Arrangement, resonant: ResonantSet):
         if not arr.is_normalized:
             raise NotNormalized("angle basis needs a normalized arrangement")
+        self._points = arr.points
         self.angles = []
-        self._col = {}
-        self._lines_at = {}
+        self.start = {}
         for pid in resonant.point_ids:
-            p = arr.points[pid]
-            self._lines_at[pid] = p.line_ids  # already slope-sorted
-            for i in range(1, p.multiplicity + 1):
-                self._col[(pid, i)] = len(self.angles)
-                self.angles.append(Angle(pid, i))
+            self.start[pid] = len(self.angles)
+            self.angles += [Angle(pid, i) for i in range(1, self._points[pid].multiplicity + 1)]
 
     @property
     def dim(self) -> int:
         return len(self.angles)
 
     def column(self, point_id: int, index: int) -> int:
-        return self._col[(point_id, index)]
+        return self.start[point_id] + index - 1
 
     def lines_at(self, point_id: int) -> tuple:
-        return self._lines_at[point_id]
+        return self._points[point_id].line_ids  # slope-sorted
 
     def angle_lines(self, angle: Angle) -> tuple:
         """The ordered pair of lines bounding the angle."""
-        lines = self._lines_at[angle.point_id]
+        lines = self.lines_at(angle.point_id)
         k = len(lines)
         return (lines[angle.index - 1], lines[angle.index % k])
-
-
-def angle_basis(arr: Arrangement, resonant: ResonantSet) -> AngleBasis:
-    return AngleBasis(arr, resonant)
 
 
 @dataclass(frozen=True)
@@ -114,15 +111,14 @@ def point_rows(arr: Arrangement, system: LocalSystem, basis: AngleBasis, point_i
     p = arr.points[point_id]
     if not system.is_resonant_at(p):
         raise NotResonant(f"point {point_id} is not resonant")
-    lines = p.line_ids
-    k = len(lines)
+    start = basis.start[point_id]
     one = system.one()
-    plus = {basis.column(point_id, i): one for i in range(1, k + 1)}
+    plus = dict.fromkeys(range(start, start + p.multiplicity), one)
     minus = {}
     acc = one
-    for i in range(1, k + 1):
-        acc = acc * system.m(lines[i - 1])
-        minus[basis.column(point_id, i)] = acc
+    for col, line in enumerate(p.line_ids, start):
+        acc = acc * system.m(line)
+        minus[col] = acc
     if system.is_exact and acc != one:
         raise InvariantError(f"monodromy product at resonant point {point_id} is not 1")
     return (
@@ -146,48 +142,38 @@ def lambda_coeff(arr: Arrangement, system: LocalSystem, point_id: int, chamber: 
     return out
 
 
-def subtended_angle(arr: Arrangement, basis: AngleBasis, point_id: int, chamber: Chamber) -> Angle:
-    """The unique angle at the point spanned by directions into the chamber."""
-    return Angle(point_id, chamber.corner(point_id)[0])
-
-
-def chamber_row(
-    arr: Arrangement,
-    system: LocalSystem,
-    basis: AngleBasis,
-    resonant: ResonantSet,
-    chamber: Chamber,
-) -> RelationRow:
-    """The relation contributed by one bounded chamber."""
-    if not chamber.bounded:
-        raise UnboundedChamber(f"chamber {chamber.index} is unbounded")
-    coeffs = {}
-    for pid in chamber.vertex_ids:
-        if pid not in resonant:
-            continue
-        ang = subtended_angle(arr, basis, pid, chamber)
-        coeffs[basis.column(pid, ang.index)] = lambda_coeff(arr, system, pid, chamber)
-    return RelationRow("chamber", chamber.index, coeffs)
-
-
 def relation_matrix(arr: Arrangement, system: LocalSystem, resonant: ResonantSet, cells: list):
     """Angle basis and relation rows of a normalized arrangement from its chambers.
 
     Rows are ordered point rows first (plus then minus, by point id), then
     bounded chamber rows by chamber id.  Zero chamber rows are retained so
     the row census matches the chamber census.
+
+    A bounded chamber's entry at a resonant vertex sits on the angle of its
+    corner there, ``(i, side)``: the point's ``point-`` entry on angle i,
+    m(l_1)...m(l_i), when the corner lies left of the vertical (side -1),
+    and 1 otherwise (:func:`lambda_coeff` is the same factor, computed anew).
     """
     if not arr.is_normalized:
         raise NotNormalized("relation matrix needs a normalized arrangement")
-    basis = angle_basis(arr, resonant)
+    basis = AngleBasis(arr, resonant)
+    start = basis.start
     rows = []
+    partial = {}  # resonant point id -> its point- row's coefficients
     for pid in resonant.point_ids:
         plus, minus = point_rows(arr, system, basis, pid)
-        rows.append(plus)
-        rows.append(minus)
+        rows += (plus, minus)
+        partial[pid] = minus.coeffs
+    one = system.one()
     for ch in cells:
         if ch.bounded:
-            rows.append(chamber_row(arr, system, basis, resonant, ch))
+            coeffs = {}
+            for pid, (index, side) in zip(ch.vertex_ids, ch.corners):
+                products = partial.get(pid)
+                if products is not None:
+                    col = start[pid] + index - 1
+                    coeffs[col] = products[col] if side < 0 else one
+            rows.append(RelationRow("chamber", ch.index, coeffs))
     return basis, rows
 
 
@@ -255,7 +241,9 @@ def h1(arr: Arrangement, system: LocalSystem, seed: int = 0) -> HomologyReport:
 
 def sector_sums(rep: HomologyReport, system: LocalSystem):
     """Per-point sums of lambda-weighted angles over the two sides of the
-    slope-minimal incident line, over *all* adjacent chambers.
+    slope-minimal incident line, over *all* adjacent chambers, in one pass
+    over the walk's corners.  Each corner is weighted by :func:`lambda_coeff`,
+    not by the relation rows' read-off, so the check stays independent.
 
     Returns a dict point id -> (sum over the positive side, sum over the
     negative side), each as a column -> coefficient dict.  The positive-side
@@ -263,17 +251,15 @@ def sector_sums(rep: HomologyReport, system: LocalSystem):
     partial-product row.
     """
     arr, basis = rep.arrangement, rep.basis
-    out = {}
-    for pid in rep.resonant.point_ids:
-        l1 = basis.lines_at(pid)[0]
-        plus, minus = {}, {}
-        for ch in rep.chambers:
-            if pid not in ch.vertex_ids:
+    out = {pid: ({}, {}) for pid in rep.resonant.point_ids}
+    zero = system.one() - system.one()
+    for ch in rep.chambers:
+        for pid, (index, _side) in zip(ch.vertex_ids, ch.corners):
+            sums = out.get(pid)
+            if sums is None:
                 continue
-            ang = subtended_angle(arr, basis, pid, ch)
             lam = lambda_coeff(arr, system, pid, ch)
-            side = plus if ch.signs[l1] > 0 else minus
-            col = basis.column(pid, ang.index)
-            side[col] = side.get(col, system.one() - system.one()) + lam
-        out[pid] = (plus, minus)
+            side = sums[0] if ch.signs[basis.lines_at(pid)[0]] > 0 else sums[1]
+            col = basis.column(pid, index)
+            side[col] = side.get(col, zero) + lam
     return out

@@ -2,6 +2,7 @@ import pytest
 
 from arrhom.geometry import Arrangement, Line
 from arrhom.local_system import LocalSystem
+from frame_helpers import line_q, points_on_line
 
 # complete quadrilateral: the six lines through pairs of (0,0), (1,0), (0,1), (1,1)
 QUADRILATERAL_LINES = (
@@ -51,7 +52,7 @@ def pencil(n, slopes=None):
 def signs_at(arr, point):
     """Side of every line at a point: +1 above, -1 below, 0 on it."""
     x, y = point
-    return tuple((q > 0) - (q < 0) for q in (l.q(x, y) for l in arr.lines))
+    return tuple((q > 0) - (q < 0) for q in (line_q(l, x, y) for l in arr.lines))
 
 
 def point_off_edge(arr, line_id, p, direction, side):
@@ -63,11 +64,11 @@ def point_off_edge(arr, line_id, p, direction, side):
     other line, so it is inside a chamber that has this edge on its boundary.
     """
     line = arr.lines[line_id]
-    ahead = [q.x for q in arr.points_on_line(line_id) if (q.x - p.x) * direction > 0]
+    ahead = [q.x for q in points_on_line(arr, line_id) if (q.x - p.x) * direction > 0]
     far = min(ahead, key=lambda x: abs(x - p.x)) if ahead else p.x + 2 * direction
     x = (p.x + far) / 2
     y = line.slope * x + line.intercept
-    gap = min((abs(l.q(x, y)) for j, l in enumerate(arr.lines) if j != line_id), default=1)
+    gap = min((abs(line_q(l, x, y)) for j, l in enumerate(arr.lines) if j != line_id), default=1)
     return (x, y + side * gap / 2)
 
 

@@ -1,12 +1,13 @@
 """Exact projective helpers that only the tests need.
 
 They check frames from outside the program: the incidence poset that every
-frame must keep, and the product and inverse of normalization maps.
+frame must keep, the product and inverse of normalization maps, a line's
+defining form and points, and the per-pair form of the sharp-pair test.
 """
 
 from fractions import Fraction
 
-from arrhom.geometry import _adjugate, mat_det
+from arrhom.geometry import _adjugate, _sign, mat_det
 
 
 def incidence_signature(arr):
@@ -27,3 +28,29 @@ def mat_inverse(A):
 
 def mat_apply_point(A, P):
     return tuple(sum(A[i][k] * Fraction(P[k]) for k in range(3)) for i in range(3))
+
+
+def line_q(line, x, y) -> Fraction:
+    """The defining form y - slope*x - intercept of a non-vertical line."""
+    return Fraction(y) - line.slope * Fraction(x) - line.intercept
+
+
+def points_on_line(arr, line_id: int) -> list:
+    return [p for p in arr.points if line_id in p.line_ids]
+
+
+def pair_component_labels(arr, li, lj) -> set:
+    """Signs of li*lj over intersection points off both lines.
+
+    The product sign is projectively well-defined and labels the two
+    components of the real projective plane minus the two lines.  This
+    per-pair form is the reference for :func:`arrhom.geometry.sharp_pairs`.
+    """
+    labels = set()
+    for p in arr.points:
+        vi = li.hom_eval(*p.coords)
+        vj = lj.hom_eval(*p.coords)
+        if vi == 0 or vj == 0:
+            continue
+        labels.add(_sign(vi * vj))
+    return labels

@@ -271,6 +271,43 @@ def test_rank_scales_each_row_by_its_denominators():
     assert rank([{0: _q(Fraction(1, 2)), 1: _q(Fraction(1, 3))}, {0: _q(3), 1: _q(2)}]) == 1
 
 
+def _record_rows(monkeypatch):
+    """Collect the integer rows that rank_exact hands to each modular image."""
+    seen = []
+    real = cyclo._rank_mod
+
+    def recording(rows, *args):
+        seen.append(rows)
+        return real(rows, *args)
+
+    monkeypatch.setattr(cyclo, "_rank_mod", recording)
+    return seen
+
+
+def test_rank_scales_only_rows_with_a_rational_coefficient(monkeypatch):
+    # int rows are eliminated as their entries' own maps; a row holding a
+    # Fraction, even one with denominator 1, is scaled into new int maps
+    seen = _record_rows(monkeypatch)
+    half = CycloNumber.from_terms(3, {0: Fraction(1, 2), 1: 1})
+    ints = [{0: W, 1: ONE3 * 2}, {1: W2 + 3, 2: W}]
+    m = ints + [{0: half, 2: W2}, {0: W * 2, 1: ONE3 * 4}]
+    assert rank_exact(m) == rank_float(_complex(m)) == 3
+    rows = seen[0]
+    for built, got in zip([ints[0], ints[1], m[3]], [rows[0], rows[1], rows[3]]):
+        assert [t for _j, t in got] == [x.terms for x in built.values()]
+        assert all(t is x.terms for (_j, t), x in zip(got, built.values()))
+    assert rows[2] == [(0, {0: 1, 1: 2}), (2, {2: 2})]
+    # all coefficients Fractions with denominator 1: the type, not the
+    # denominator, decides, so the norm bound sees ints
+    seen.clear()
+    three = CycloNumber.from_terms(3, {0: Fraction(3), 2: Fraction(-1)})
+    assert all(type(c) is Fraction for c in three.terms.values())
+    m = [{0: three, 1: CycloNumber.from_terms(3, {1: Fraction(2)})}, {0: three * W, 1: W2 * 2}, {1: ONE3}]
+    assert rank_exact(m) == rank_float(_complex(m)) == 2
+    assert all(type(c) is int for row in seen[0] for _j, t in row for c in t.values())
+    assert rank_exact([{0: CycloNumber.from_terms(1, {0: Fraction(3)})}]) == 1
+
+
 def test_rank_is_capped_by_the_columns_that_occur(monkeypatch):
     # three nonzero rows, one nonzero column: the first prime that reaches
     # rank 1 ends the certification, long before the primes would outweigh

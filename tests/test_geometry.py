@@ -14,7 +14,6 @@ from arrhom.fuzz import corpus, sharp_corpus
 from arrhom.geometry import (
     Arrangement,
     Line,
-    _pair_component_labels,
     _verify_adapted_single,
     adapted_chambers,
     adapted_frame,
@@ -29,7 +28,14 @@ from arrhom.geometry import (
     zaslavsky_bounded_count,
 )
 from conftest import interior_points_at, pencil, signs_at
-from frame_helpers import incidence_signature, mat_inverse, mat_mul
+from frame_helpers import (
+    incidence_signature,
+    line_q,
+    mat_inverse,
+    mat_mul,
+    pair_component_labels,
+    points_on_line,
+)
 
 
 def test_line_canonicalization():
@@ -43,8 +49,8 @@ def test_line_slope_intercept_and_q():
     l = Line.from_slope_intercept(Fraction(2, 3), Fraction(-1, 2))
     assert l.slope == Fraction(2, 3)
     assert l.intercept == Fraction(-1, 2)
-    assert l.q(0, 0) == Fraction(1, 2)
-    assert l.q(3, Fraction(3, 2)) == 0
+    assert line_q(l, 0, 0) == Fraction(1, 2)
+    assert line_q(l, 3, Fraction(3, 2)) == 0
     assert Line.from_coeffs(1, 0, -2).is_vertical
 
 
@@ -328,7 +334,7 @@ def test_chamber_vertex_cycles_are_ccw_polygons(seed):
 def test_chamber_boundary_edges_consistent(quadrilateral):
     narr, _ = normalize(quadrilateral, seed=0)
     chs = chambers(narr)
-    total_edges = sum(len(narr.points_on_line(i)) + 1 for i in range(narr.n))
+    total_edges = sum(len(points_on_line(narr, i)) + 1 for i in range(narr.n))
     # every segment or ray borders exactly two chambers
     assert sum(c.edge_count for c in chs) == 2 * total_edges
     # one-point compactification Euler check: V' - E + F = 2
@@ -347,7 +353,7 @@ def test_chambers_randomized_zaslavsky(seed):
     narr, _ = normalize(arr, seed=seed)
     chs = chambers(narr)
     assert sum(c.bounded for c in chs) == zaslavsky_bounded_count(narr)
-    total_edges = sum(len(narr.points_on_line(i)) + 1 for i in range(narr.n))
+    total_edges = sum(len(points_on_line(narr, i)) + 1 for i in range(narr.n))
     assert (len(narr.points) + 1) - total_edges + len(chs) == 2
     assert sum(c.edge_count for c in chs) == 2 * total_edges
 
@@ -415,7 +421,7 @@ def test_sharp_pairs_match_pair_component_labels():
         ref = [
             (i, j)
             for i, j in itertools.combinations(range(arr.n), 2)
-            if len(_pair_component_labels(arr, arr.lines[i], arr.lines[j])) < 2
+            if len(pair_component_labels(arr, arr.lines[i], arr.lines[j])) < 2
         ]
         assert sharp_pairs(arr) == ref, k
         assert sharp_pairs(normalize(arr, k)[0]) == ref, k

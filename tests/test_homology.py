@@ -4,18 +4,24 @@ from fractions import Fraction
 import pytest
 
 from arrhom.cyclo import CycloNumber
-from arrhom.errors import NotAdjacent, NotResonant, UnboundedChamber
-from arrhom.fuzz import random_arrangement, resonant_system
-from arrhom.geometry import Arrangement, Line, chambers, normalize, transform
+from arrhom.errors import NotAdjacent, NotResonant
+from arrhom.fuzz import corpus, random_arrangement, resonant_system, sharp_corpus
+from arrhom.geometry import (
+    Arrangement,
+    Line,
+    adapted_chambers,
+    adapted_frame,
+    chambers,
+    normalize,
+    transform,
+)
 from arrhom.homology import (
-    angle_basis,
-    chamber_row,
+    AngleBasis,
     h1,
     lambda_coeff,
     point_rows,
     relation_matrix,
     sector_sums,
-    subtended_angle,
 )
 from arrhom.local_system import LocalSystem, resonant_points
 from conftest import interior_points_at, pencil
@@ -31,14 +37,14 @@ def _normalized_quadrilateral(quadrilateral, seed=0):
 
 def test_angle_basis_empty(generic_triangle):
     ls = LocalSystem(order=3, exponents=[1, 1, 1])
-    basis = angle_basis(generic_triangle, resonant_points(generic_triangle, ls))
+    basis = AngleBasis(generic_triangle, resonant_points(generic_triangle, ls))
     assert basis.dim == 0
 
 
 def test_angle_basis_quadrilateral(quadrilateral, quadrilateral_system):
     narr = _normalized_quadrilateral(quadrilateral)
     res = resonant_points(narr, quadrilateral_system)
-    basis = angle_basis(narr, res)
+    basis = AngleBasis(narr, res)
     assert basis.dim == 12
     for pid in res.point_ids:
         angles = [a for a in basis.angles if a.point_id == pid]
@@ -52,14 +58,14 @@ def test_angle_basis_quadrilateral(quadrilateral, quadrilateral_system):
 def test_angle_basis_single_triple_point():
     arr = pencil(3)
     ls = LocalSystem(order=3, exponents=[1, 1, 1])
-    basis = angle_basis(arr, resonant_points(arr, ls))
+    basis = AngleBasis(arr, resonant_points(arr, ls))
     assert basis.dim == 3
 
 
 def test_point_rows_constant_monodromy(quadrilateral, quadrilateral_system):
     narr = _normalized_quadrilateral(quadrilateral)
     res = resonant_points(narr, quadrilateral_system)
-    basis = angle_basis(narr, res)
+    basis = AngleBasis(narr, res)
     for pid in res.point_ids:
         plus, minus = point_rows(narr, quadrilateral_system, basis, pid)
         cols = [basis.column(pid, i) for i in (1, 2, 3)]
@@ -71,7 +77,7 @@ def test_point_rows_constant_monodromy(quadrilateral, quadrilateral_system):
 def test_point_rows_reject_non_resonant(quadrilateral, quadrilateral_system):
     narr = _normalized_quadrilateral(quadrilateral)
     res = resonant_points(narr, quadrilateral_system)
-    basis = angle_basis(narr, res)
+    basis = AngleBasis(narr, res)
     double = next(p.index for p in narr.points if p.multiplicity == 2)
     with pytest.raises(NotResonant):
         point_rows(narr, quadrilateral_system, basis, double)
@@ -122,9 +128,11 @@ def test_corner_data_matches_sampled_directions(seed):
         res = resonant_points(narr, system)
         if res.point_ids:
             break
-    basis = angle_basis(narr, res)
+    cells = chambers(narr)
+    basis, rows = relation_matrix(narr, system, res, cells)
+    chamber_rows = {r.label: r.coeffs for r in rows if r.kind == "chamber"}
     checked = set()
-    for ch in chambers(narr):
+    for ch in cells:
         for pid in ch.vertex_ids:
             if pid not in res:
                 continue
@@ -133,8 +141,10 @@ def test_corner_data_matches_sampled_directions(seed):
             assert len(samples) == 2
             for x, y in samples:
                 index, lam = _slope_rule(narr, system, p, x - p.x, y - p.y)
-                assert subtended_angle(narr, basis, pid, ch).index == index
+                assert ch.corner(pid)[0] == index
                 assert lambda_coeff(narr, system, pid, ch) == lam
+                if ch.bounded:
+                    assert chamber_rows[ch.index][basis.column(pid, index)] == lam
             checked.add(pid)
     assert checked == set(res.point_ids)
 
@@ -180,31 +190,79 @@ def test_lambda_requires_adjacency(quadrilateral, quadrilateral_system):
         lambda_coeff(narr, quadrilateral_system, outside, ch)
 
 
-def test_chamber_row_rejects_unbounded(quadrilateral, quadrilateral_system):
-    narr = _normalized_quadrilateral(quadrilateral)
-    res = resonant_points(narr, quadrilateral_system)
-    basis = angle_basis(narr, res)
-    unbounded = next(c for c in chambers(narr) if not c.bounded)
-    with pytest.raises(UnboundedChamber):
-        chamber_row(narr, quadrilateral_system, basis, res, unbounded)
-
-
 def test_chamber_rows_structure(quadrilateral, quadrilateral_system):
     # every bounded chamber of the quadrilateral touches exactly two resonant
     # vertices, so each chamber row has two entries, both powers of the
     # order-3 root; the individual powers depend on the normalization frame
     narr = _normalized_quadrilateral(quadrilateral)
     res = resonant_points(narr, quadrilateral_system)
-    basis = angle_basis(narr, res)
+    cells = chambers(narr)
+    basis, rows = relation_matrix(narr, quadrilateral_system, res, cells)
     powers = {str(ONE), str(W), str(W * W)}
-    for ch in chambers(narr):
-        if not ch.bounded:
-            continue
-        row = chamber_row(narr, quadrilateral_system, basis, res, ch)
+    chamber_rows = [r for r in rows if r.kind == "chamber"]
+    bounded = [ch for ch in cells if ch.bounded]
+    assert [r.label for r in chamber_rows] == [ch.index for ch in bounded]
+    for ch, row in zip(bounded, chamber_rows):
         assert len(row.coeffs) == 2
         assert {basis.angles[c].point_id for c in row.coeffs} <= set(res.point_ids)
         assert len({basis.angles[c].point_id for c in row.coeffs}) == 2
         assert all(str(v) in powers for v in row.coeffs.values())
+        for c in row.coeffs:
+            angle = basis.angles[c]
+            assert ch.corner(angle.point_id)[0] == angle.index
+
+
+def _grid(a):
+    """The triangular grid x = i, y = j (0 <= i, j < a), x + y = c (1 <= c <= 2a - 3),
+    order 3 with exponents 1, the last one or two raised to 2."""
+    lines = [(1, 0, -i) for i in range(a)] + [(0, 1, -j) for j in range(a)]
+    lines += [(1, 1, -c) for c in range(1, 2 * a - 2)]
+    exps = [1] * len(lines)
+    for k in range(1, 1 + (-len(lines)) % 3):
+        exps[-k] = 2
+    return Arrangement([Line.from_coeffs(*l) for l in lines]), LocalSystem(order=3, exponents=exps)
+
+
+def _read_off_cases():
+    """(arrangement, system, seed): two corpora, and the 9- and 17-line grids
+    at seeds 0-7 in exact and float mode."""
+    insts = corpus(20240810, 150) + sharp_corpus(3, 100)
+    cases = [(inst.arrangement, inst.system, k) for k, inst in enumerate(insts)]
+    for a in (3, 5):
+        arr, system = _grid(a)
+        cases += [(arr, s, seed) for seed in range(8) for s in (system, system.to_float())]
+    return cases
+
+
+def test_chamber_rows_read_the_reference_formula_off_the_walk():
+    # every chamber-row entry is lambda_coeff at the column of the chamber's
+    # corner, and a row is supported exactly on the chamber's resonant
+    # vertices: in every basic frame, and in the adapted frame of every
+    # certificate, whose chambers are selected from the basic walk
+    frames = 0
+    for arr, system, seed in _read_off_cases():
+        narr = normalize(arr, seed)[0]
+        cells = chambers(narr)
+        walks = [(narr, cells)]
+        if len(narr.points) > 1:
+            for l0 in range(narr.n):
+                frame = adapted_frame(narr, l0)
+                walks.append((frame, adapted_chambers(narr, cells, frame, l0)))
+        for frame, walk in walks:
+            res = resonant_points(frame, system)
+            basis, rows = relation_matrix(frame, system, res, walk)
+            chamber_rows = [r for r in rows if r.kind == "chamber"]
+            bounded = [ch for ch in walk if ch.bounded]
+            assert [r.label for r in chamber_rows] == [ch.index for ch in bounded]
+            for ch, row in zip(bounded, chamber_rows):
+                vertices = [pid for pid in ch.vertex_ids if pid in res]
+                assert {basis.angles[c].point_id for c in row.coeffs} == set(vertices)
+                assert row.coeffs == {
+                    basis.column(pid, ch.corner(pid)[0]): lambda_coeff(frame, system, pid, ch)
+                    for pid in vertices
+                }
+            frames += 1
+    assert frames > 1000
 
 
 def test_relation_matrix_census(quadrilateral, quadrilateral_system):
@@ -308,13 +366,22 @@ def test_sector_sums_reproduce_point_rows(quadrilateral, quadrilateral_system):
 def test_every_resonant_point_has_two_chambers_per_angle(quadrilateral, quadrilateral_system):
     narr = _normalized_quadrilateral(quadrilateral)
     res = resonant_points(narr, quadrilateral_system)
-    basis = angle_basis(narr, res)
     chs = chambers(narr)
+    basis, rows = relation_matrix(narr, quadrilateral_system, res, chs)
+    on_angle = {}  # column -> bounded chambers whose row has an entry there
+    for r in rows:
+        if r.kind == "chamber":
+            for c in r.coeffs:
+                on_angle[c] = on_angle.get(c, 0) + 1
     for pid in res.point_ids:
         count = {}
         for ch in chs:
             if pid in ch.vertex_ids:
-                ang = subtended_angle(narr, basis, pid, ch)
-                count[ang.index] = count.get(ang.index, 0) + 1
+                index = ch.corner(pid)[0]
+                count[index] = count.get(index, 0) + 1
         mult = narr.points[pid].multiplicity
         assert count == {i: 2 for i in range(1, mult + 1)}
+        # the bounded ones among them are the chamber rows on that angle
+        for i in range(1, mult + 1):
+            bounded = sum(1 for ch in chs if ch.bounded and pid in ch.vertex_ids and ch.corner(pid)[0] == i)
+            assert on_angle.get(basis.column(pid, i), 0) == bounded

@@ -16,7 +16,7 @@ from arrhom import bounds, cyclo, fox, geometry
 from arrhom.cli import main
 from arrhom.errors import ArrhomError, InvariantError
 from arrhom.geometry import Arrangement, IntersectionPoint, normalize
-from arrhom.homology import angle_basis, point_rows
+from arrhom.homology import AngleBasis, point_rows
 from arrhom.local_system import LocalSystem, ResonantSet
 
 SRC = Path(arrhom.__file__).resolve().parent
@@ -41,7 +41,7 @@ def test_point_rows_checks_the_resonance_product(quadrilateral, quadrilateral_sy
     monkeypatch.setattr(quadrilateral_system, "is_resonant_at", lambda p: True)
     narr, _ = normalize(quadrilateral, 0)
     double = next(p.index for p in narr.points if p.multiplicity == 2)
-    basis = angle_basis(narr, ResonantSet((double,), ()))
+    basis = AngleBasis(narr, ResonantSet((double,), ()))
     with pytest.raises(InvariantError, match="product at resonant point"):
         point_rows(narr, quadrilateral_system, basis, double)
 

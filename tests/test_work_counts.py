@@ -93,6 +93,30 @@ def test_one_report_finds_the_resonant_points_once(monkeypatch, quad_file, capsy
     assert counter == {"resonant_points": 1}
 
 
+def test_a_report_reads_its_chamber_rows_off_the_walk(monkeypatch, tmp_path, capsys, quadrilateral_system):
+    # a chamber's entry is the point- row's partial product at the corner the
+    # walk stored, so a report computes no lambda_coeff and searches no
+    # corner; the trial's sector-sum check still weights by lambda_coeff
+    counter = Counter()
+    _track(monkeypatch, counter, "lambda_coeff", homology, "lambda_coeff")
+    real_corner = geometry.Chamber.corner
+
+    def corner(self, point_id):
+        counter["corner"] += 1
+        return real_corner(self, point_id)
+
+    monkeypatch.setattr(geometry.Chamber, "corner", corner)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"lines": GRID_LINES, "local_system": {"order": 3, "exponents": [1] * 9}}))
+    assert main(["h1", str(path), "--certificates"]) == 0
+    assert json.loads(capsys.readouterr().out)["h1"] == 1
+    assert counter == {}
+    # a battery trial: oracle, certificates, one extra seed
+    result = run_trial(Arrangement(QUADRILATERAL_LINES), quadrilateral_system, with_certificate=True, extra_seeds=1)
+    assert result.ok, result.violations
+    assert counter["lambda_coeff"] == counter["corner"] > 0
+
+
 def test_certificates_walk_no_chambers(calls, quad_file, capsys):
     # each certificate selects its chambers from the report's one walk
     assert main(["h1", quad_file, "--no-oracle", "--certificates"]) == 0
