@@ -16,8 +16,11 @@ family, giving dim(A'/K cap A') <= #A' - #N <= #R0 - 1.
 
 The adapted frame is one projective map of the basic frame that the
 caller's h1 report already holds (:func:`geometry.adapted_frame`), so a
-certificate runs no normalization search and intersects nothing.  The frame
-always exists; the fuzz battery counts a failure to build it as a violation.
+certificate runs no normalization search and intersects nothing.  A frame is
+built only along a line that carries a resonant point of the basic frame;
+along any other line the certificate is the vacuous 0 <= 0, read off the
+basic frame alone.  The frame always exists; the fuzz battery counts a
+failure to build it, along a line with a resonant point, as a violation.
 Nor does a certificate walk chambers: it selects the cells of the report's
 walk that the frame's line at infinity does not cross, the ones that do not
 touch l0 from below (:func:`geometry.adapted_chambers`).  A cell's frame
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .cyclo import rank
-from .errors import InvariantError, PencilNotCovered
+from .errors import InvariantError, NotNormalized, PencilNotCovered
 from .geometry import Arrangement, adapted_chambers, adapted_frame, sharp_pairs
 from .homology import relation_matrix
 from .local_system import LocalSystem, ResonantSet, resonant_points
@@ -97,10 +100,23 @@ def beta_certificate(narr: Arrangement, cells: list, system: LocalSystem, l0: in
     the basic frame of an h1 report and its walk (``HomologyReport.arrangement``
     and ``HomologyReport.chambers``).  The adapted frame's bounded chambers
     are selected from ``cells`` (:func:`geometry.adapted_chambers`).
+
+    A line that carries no resonant point of ``narr`` gets the vacuous
+    certificate, 0 <= 0, without a frame.  That is exact: ``transform`` maps
+    each point with its line ids, and resonance reads only the line ids, so
+    the adapted frame has a resonant point on l0 exactly when ``narr`` has
+    one.  Without one, R0, A', the neighbors, the betas and the extra
+    members are all empty, so every check holds and the family has rank 0.
     """
     system.require_admissible(narr)
     if len(narr.points) <= 1:
         raise PencilNotCovered("the neighbor certificate needs more than one point")
+    if not narr.is_normalized:
+        raise NotNormalized("the adapted frame is built from a normalized arrangement")
+    if not 0 <= l0 < narr.n:
+        raise IndexError(f"line {l0} is not a line of the arrangement")
+    if not any(system.is_resonant_at(p) for p in narr.points if l0 in p.line_ids):
+        return BetaCertificate(l0, 0, 0, {}, [], [], True, 0, True, True, 0)
     frame = adapted_frame(narr, l0)
     res = resonant_points(frame, system)
     r0 = res.on_line(l0)

@@ -36,7 +36,6 @@ from .fox import oracle_h1
 from .fuzz import corpus, run_trial, sharp_corpus
 from .geometry import normalize, sharp_pairs
 from .io import build_report, dump_instance, parse_instance, report_to_json
-from .local_system import LocalSystem
 from .render import render_svg
 
 __all__ = ["MAX_TRIALS", "main"]

@@ -119,10 +119,6 @@ class Line:
         return cls.from_coeffs(-Fraction(s), 1, -Fraction(b0))
 
     @property
-    def is_vertical(self) -> bool:
-        return self.b == 0
-
-    @property
     def slope(self) -> Fraction:
         if self.b == 0:
             raise ValueError("vertical line has no finite slope")
@@ -381,9 +377,6 @@ class NormalizationRecord:
     def l_inf(self) -> Line:
         """The input-coordinates line sent to infinity."""
         return Line.from_coeffs(*self.matrix[2])
-
-    def apply(self, arr: Arrangement) -> Arrangement:
-        return transform(arr, self.matrix)
 
 
 def _shear_x(t):

@@ -86,12 +86,6 @@ class AngleBasis:
     def lines_at(self, point_id: int) -> tuple:
         return self._points[point_id].line_ids  # slope-sorted
 
-    def angle_lines(self, angle: Angle) -> tuple:
-        """The ordered pair of lines bounding the angle."""
-        lines = self.lines_at(angle.point_id)
-        k = len(lines)
-        return (lines[angle.index - 1], lines[angle.index % k])
-
 
 @dataclass(frozen=True)
 class RelationRow:

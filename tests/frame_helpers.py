@@ -2,7 +2,8 @@
 
 They check frames from outside the program: the incidence poset that every
 frame must keep, the product and inverse of normalization maps, a line's
-defining form and points, and the per-pair form of the sharp-pair test.
+defining form and points, whether it is vertical, the lines bounding an angle,
+and the per-pair form of the sharp-pair test.
 """
 
 from fractions import Fraction
@@ -35,8 +36,18 @@ def line_q(line, x, y) -> Fraction:
     return Fraction(y) - line.slope * Fraction(x) - line.intercept
 
 
+def is_vertical(line) -> bool:
+    return line.b == 0
+
+
 def points_on_line(arr, line_id: int) -> list:
     return [p for p in arr.points if line_id in p.line_ids]
+
+
+def angle_lines(basis, angle) -> tuple:
+    """The ordered pair of lines bounding an angle of an angle basis."""
+    lines = basis.lines_at(angle.point_id)
+    return (lines[angle.index - 1], lines[angle.index % len(lines)])
 
 
 def pair_component_labels(arr, li, lj) -> set:

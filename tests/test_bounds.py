@@ -1,9 +1,9 @@
 import pytest
 
-from arrhom.bounds import beta_certificate, cdo_bound, r0_bound, sharp_pair_report
+from arrhom.bounds import BetaCertificate, beta_certificate, cdo_bound, r0_bound, sharp_pair_report
 from arrhom.errors import PencilNotCovered
 from arrhom.fuzz import corpus, sharp_corpus
-from arrhom.geometry import Arrangement, Line, chambers, normalize
+from arrhom.geometry import Arrangement, Line, adapted_frame, chambers, normalize
 from arrhom.homology import h1
 from arrhom.local_system import LocalSystem, resonant_points
 from conftest import pencil
@@ -104,18 +104,34 @@ def test_bounds_dominate_h1_on_fuzz():
 
 
 def test_beta_certificates_on_fuzz():
+    # the adapted frame keeps every point's line ids, which are all that
+    # resonance reads, so its resonant points on l0 are the basic frame's;
+    # a line with none gets 0 <= 0 without a frame, and one with some the
+    # full certificate
     insts = corpus(seed=654, count=10, n_range=(3, 6), d_range=(2, 6))
-    checked = 0
+    insts += corpus(20240810, 150) + corpus(7, 150) + sharp_corpus(3, 100) + corpus(20240810, 100, n_range=(3, 6))
+    vacuous = full = 0
     for i, inst in enumerate(insts):
         if len(inst.arrangement.points) <= 1:
             continue
         narr = normalize(inst.arrangement, i)[0]
         cells = chambers(narr)
+        basic = resonant_points(narr, inst.system)
         for lid in range(inst.arrangement.n):
+            frame = adapted_frame(narr, lid)
+            adapted = resonant_points(frame, inst.system)
+            assert {frozenset(frame.points[pid].line_ids) for pid in adapted.on_line(lid)} == {
+                frozenset(narr.points[pid].line_ids) for pid in basic.on_line(lid)
+            }, (i, lid)
             cert = beta_certificate(narr, cells, inst.system, lid)
             assert cert.ok, (i, lid)
-            checked += 1
-    assert checked > 10
+            if basic.on_line(lid):
+                assert cert.n_r0 == len(basic.on_line(lid)) and cert.betas, (i, lid)
+                full += 1
+            else:
+                assert cert == BetaCertificate(lid, 0, 0, {}, [], [], True, 0, True, True, 0), (i, lid)
+                vacuous += 1
+    assert vacuous > 2000 and full > 300
 
 
 def test_sharp_pair_report_triangle(generic_triangle):

@@ -11,7 +11,7 @@ from arrhom.fuzz import corpus
 from arrhom.homology import h1
 from arrhom.local_system import LocalSystem
 from conftest import GRID_LINES, pencil
-from frame_helpers import incidence_signature
+from frame_helpers import incidence_signature, is_vertical
 
 
 def test_decone_two_lines():
@@ -137,7 +137,7 @@ def test_grid_charts_sweep_shared_abscissas_as_a_small_shear_would():
         xs = [x for (x, _y), _wires in dec.crossings]
         shared += len(set(xs)) < len(xs)
         sheared = tuple(Line.from_coeffs(l.a, l.b - t * l.a, l.c) for l in dec.lines)
-        assert not any(l.is_vertical for l in sheared)
+        assert not any(is_vertical(l) for l in sheared)
         crossings = tuple(((p.x, p.y), p.line_ids) for p in intersections(sheared) if not p.is_infinite)
         assert len(crossings) == len(dec.crossings)
         assert len({x for (x, _y), _wires in crossings}) == len(crossings), line_id
@@ -149,5 +149,5 @@ def test_grid_charts_have_no_vertical_line_and_the_oracle_agrees():
     arr, ls = _grid_a3()
     expected = h1(arr, ls).h1
     for line_id in range(arr.n):
-        assert not any(l.is_vertical for l in decone(arr, ls, line_id).lines)
+        assert not any(is_vertical(l) for l in decone(arr, ls, line_id).lines)
         assert oracle_h1(arr, ls, line_id) == expected

@@ -25,6 +25,7 @@ from arrhom.homology import (
 )
 from arrhom.local_system import LocalSystem, resonant_points
 from conftest import interior_points_at, pencil
+from frame_helpers import angle_lines
 
 
 W = CycloNumber.zeta(3)
@@ -51,7 +52,7 @@ def test_angle_basis_quadrilateral(quadrilateral, quadrilateral_system):
         assert [a.index for a in angles] == [1, 2, 3]
         # angle arcs are consecutive slope pairs, wrapping at the end
         lines = basis.lines_at(pid)
-        pairs = [basis.angle_lines(a) for a in angles]
+        pairs = [angle_lines(basis, a) for a in angles]
         assert pairs == [(lines[0], lines[1]), (lines[1], lines[2]), (lines[2], lines[0])]
 
 

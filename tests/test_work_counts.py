@@ -19,10 +19,11 @@ import pytest
 from arrhom import bounds, cyclo, fox, fuzz, geometry, homology, local_system
 from arrhom.cli import main
 from arrhom.cyclo import CycloNumber
+from arrhom.errors import NotALocalSystem, NotNormalized, PencilNotCovered
 from arrhom.fuzz import run_trial
 from arrhom.geometry import Arrangement, Line
 from arrhom.local_system import LocalSystem
-from conftest import GRID_LINES, QUADRILATERAL_LINES
+from conftest import GRID_LINES, QUADRILATERAL_LINES, pencil
 
 TRACKED = {
     "h1": (homology, "h1"),
@@ -169,6 +170,43 @@ def test_a_certificate_maps_the_basic_frame_once(calls, monkeypatch, quadrilater
             assert bounds.beta_certificate(rep.arrangement, rep.chambers, system, l0).ok
             assert transforms["transform"] == 1
             assert calls["normalize"] == 0 and calls["intersections"] == 0 and calls["chambers"] == 0
+
+
+def test_a_line_without_resonant_points_maps_no_frame(monkeypatch):
+    # at order 5 only the point of lines 0, 1 and 2 is resonant (1 + 1 + 3),
+    # so lines 3-5 get the vacuous certificate from the basic frame alone
+    counter = Counter()
+    for name, owner, attr in (
+        ("transform", geometry, "transform"),
+        ("relation_matrix", homology, "relation_matrix"),
+        ("resonant_points", local_system, "resonant_points"),
+        ("rank_exact", cyclo, "rank_exact"),
+    ):
+        _track(monkeypatch, counter, name, owner, attr)
+    lines = [[0, 1, 0], [1, 0, 0], [1, -1, 0], [1, 1, -1], [1, 0, -1], [0, 1, -1]]
+    arr = Arrangement([Line.from_coeffs(*l) for l in lines])
+    system = LocalSystem(order=5, exponents=[1, 1, 3, 1, 2, 2])
+    rep = homology.h1(arr, system)
+    for l0 in range(6):
+        counter.clear()
+        cert = bounds.beta_certificate(rep.arrangement, rep.chambers, system, l0)
+        assert cert.ok and cert.n_r0 == (1 if l0 < 3 else 0)
+        if l0 < 3:
+            assert counter["transform"] == counter["relation_matrix"] == counter["resonant_points"] == 1
+        else:
+            assert counter == {}
+    # the typed checks still come first along a vacuous line, and a line id
+    # that names no line is not taken for one
+    for l0 in (-1, 6):
+        with pytest.raises(IndexError):
+            bounds.beta_certificate(rep.arrangement, rep.chambers, system, l0)
+    with pytest.raises(NotNormalized):
+        bounds.beta_certificate(arr, rep.chambers, system, 4)
+    two = geometry.normalize(pencil(2), 0)[0]
+    with pytest.raises(PencilNotCovered):
+        bounds.beta_certificate(two, geometry.chambers(two), LocalSystem(order=5, exponents=[1, 4]), 0)
+    with pytest.raises(NotALocalSystem):
+        bounds.beta_certificate(rep.arrangement, rep.chambers, LocalSystem(order=5, exponents=[1, 1, 3, 1, 2, 1]), 4)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
