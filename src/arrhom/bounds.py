@@ -50,11 +50,19 @@ __all__ = [
 ]
 
 
+def _require_line(arr: Arrangement, l0: int):
+    """IndexError unless l0 names a line of ``arr``; a negative id is not
+    read from the end."""
+    if not 0 <= l0 < arr.n:
+        raise IndexError(f"line {l0} is not a line of the arrangement")
+
+
 def cdo_bound(arr: Arrangement, resonant: ResonantSet, l0: int) -> int:
     """Sum of (mult(p) - 2) over resonant points on the base line.
 
     ``resonant`` is the resonant set of ``arr`` itself.
     """
+    _require_line(arr, l0)
     return sum(arr.points[pid].multiplicity - 2 for pid in resonant.on_line(l0))
 
 
@@ -62,6 +70,7 @@ def r0_bound(arr: Arrangement, resonant: ResonantSet, l0: int) -> int:
     """max(0, #R0 - 1) for the resonant set of ``arr``; undefined for pencils."""
     if len(arr.points) <= 1:
         raise PencilNotCovered("the resonant-count bound needs more than one point")
+    _require_line(arr, l0)
     return max(0, len(resonant.on_line(l0)) - 1)
 
 
@@ -113,8 +122,7 @@ def beta_certificate(narr: Arrangement, cells: list, system: LocalSystem, l0: in
         raise PencilNotCovered("the neighbor certificate needs more than one point")
     if not narr.is_normalized:
         raise NotNormalized("the adapted frame is built from a normalized arrangement")
-    if not 0 <= l0 < narr.n:
-        raise IndexError(f"line {l0} is not a line of the arrangement")
+    _require_line(narr, l0)
     if not any(system.is_resonant_at(p) for p in narr.points if l0 in p.line_ids):
         return BetaCertificate(l0, 0, 0, {}, [], [], True, 0, True, True, 0)
     frame = adapted_frame(narr, l0)

@@ -24,10 +24,14 @@ so the rank mod p never exceeds r, and it falls short only when p divides
 the norm N(Delta) of a fixed nonzero r x r minor Delta.  Every complex
 embedding sends zeta^k to a number of modulus 1, so it sends an entry to a
 number of modulus at most the l1 norm of its map, and Hadamard's inequality
-bounds |N(Delta)| by H^phi(d), where H is the product of the row norms with
-each entry counted as that l1 norm.  Once the distinct primes used multiply
-to more than H^phi(d), one of them reached r, so the largest rank seen is
-exact.
+bounds |N(Delta)| by H^phi(d), where H is the product of the row norms of
+Delta's own r rows with each entry counted as that l1 norm; r is at most
+the rank's cap, so the cap largest row norms bound it.  Once the distinct
+primes used multiply to more than H^phi(d), one of them reached r, so the
+largest rank seen is exact.  The certified core,
+:func:`rank_exponent_maps`, takes rows of integer exponent maps and the
+order; :func:`rank_exact` checks rows of ``CycloNumber`` entries and hands
+it their maps, and the Fox oracle builds such maps itself.
 
 A row is a map from column to value, as its builder made it; an absent
 entry is zero.  A floating-point fallback exists for monodromy values that
@@ -43,7 +47,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from numbers import Rational as _Rational
 
 from .errors import InvariantError, ModeMismatch, OrderMismatch
@@ -55,12 +59,13 @@ __all__ = [
     "euler_phi",
     "rank",
     "rank_exact",
+    "rank_exponent_maps",
     "rank_float",
     "rank_prime",
 ]
 
 # Largest accepted order d.  A rank below its cap is certified with about
-# phi(d) * log2(H) / 120 primes, so a report with h1 > 0 takes time in
+# phi(d) * log2(H) / 60 primes of 61 bits, so a report with h1 > 0 takes time in
 # proportion to phi(d); and values zeta^k with small k/d lie so close to 1
 # that the float cross-check can lose the rank.  The complete quadrilateral
 # with h1 = 1 takes 2.8 s at order 16381 and passes every check; at 32749
@@ -598,48 +603,22 @@ def _mismatch(x) -> Exception:
 
 
 def rank_exact(rows, upper: int | None = None) -> int:
-    """Rank over Q(zeta_d) of rows that map columns to :class:`CycloNumber`,
-    certified from their images modulo primes.
+    """Rank over Q(zeta_d) of rows that map columns to :class:`CycloNumber`.
 
-    Each entry's own exponent map is eliminated.  A row whose coefficients
-    are all ``int`` lies in Z[zeta_d] as it is.  Any other row, one holding
-    a ``Fraction`` even with denominator 1, is scaled by the lcm of its
-    coefficient denominators into new int maps, which leaves the rank r
-    unchanged.  The test is on the type, so the norm bound and the
-    elimination see only ints.  For primes p = 1 (mod d) from :func:`rank_prime`, the row images under
-    zeta -> w in F_p are eliminated sparsely.  The result is exact:
-
-    - rank mod p <= r, since a nonzero minor mod p lifts to a nonzero minor;
-    - if rank mod p < r, then p divides N(Delta) for a fixed nonzero r x r
-      minor Delta: Delta lies in the kernel of Z[zeta_d] -> F_p, which is a
-      prime over p, and N(Delta) is Delta times algebraic integers;
-    - |N(Delta)| <= H^phi(d), where H is the product over rows of
-      max(1, ||row||_2) with each entry counted as the l1 norm of its
-      exponent map.  Every complex embedding sends zeta^k to a number of
-      modulus 1, so that l1 norm bounds the entry in every embedding, and
-      Hadamard's inequality bounds every embedding of Delta.
-
-    So the distinct primes that fall short all divide one nonzero integer
-    of size at most H^phi(d).  Primes are used until the rank reaches the
-    number of nonzero rows, of columns with a nonzero entry or ``upper``, or
-    their product exceeds H^phi(d); the largest rank seen is then r.  ``upper``
-    must be an upper bound on r that the caller knows: a prime that
-    reaches it proves r = upper.  The comparison is by bit lengths: the
-    product is at least 2^b with b = sum(bit_length(p) - 1), and
-    H^(2 phi(d)) < 2^(phi(d) * bit_length(H^2)), so 2 b >= that exponent
-    proves product > H^phi(d).
-
-    Zero tests are structural: an entry is skipped when its map is empty.
-    A nonzero map that sums to zero is kept; its images are 0 mod every p.
-    Entries of another type or order raise a typed error.
+    This checks the entries and hands their own exponent maps to
+    :func:`rank_exponent_maps`, which certifies the rank.  A row whose
+    coefficients are all ``int`` lies in Z[zeta_d] and goes as it is.  Any
+    other row, one holding a ``Fraction`` even with denominator 1, is scaled
+    by the lcm of its coefficient denominators into new int maps, which
+    leaves the rank unchanged.  The test is on the type, so the certified
+    core sees only ints.  An entry that is not a ``CycloNumber`` raises
+    :class:`~arrhom.errors.ModeMismatch` (or ``TypeError`` for a scalar of
+    no mode), and two orders raise :class:`~arrhom.errors.OrderMismatch`.
     """
-    int_rows = []  # nonzero rows as lists of (column, exponent map with int coefficients)
-    exponents = set()
-    columns = set()
-    norms = 1  # product over rows of max(1, ||row||_2^2)
+    maps = []
     order = None
     for r in rows:
-        entries = []
+        entries = {}
         for j, x in r.items():
             if type(x) is not CycloNumber:
                 raise _mismatch(x)
@@ -648,25 +627,71 @@ def rank_exact(rows, upper: int | None = None) -> int:
                     raise OrderMismatch(f"rows mix cyclotomic orders {order} and {x.order}")
                 order = x.order
             if x.terms:
-                entries.append((j, x.terms))
+                entries[j] = x.terms
+        if not all(type(c) is int for t in entries.values() for c in t.values()):
+            den = lcm(*(c.denominator for t in entries.values() for c in t.values()))
+            entries = {j: {k: c.numerator * (den // c.denominator) for k, c in t.items()} for j, t in entries.items()}
+        maps.append(entries)
+    return rank_exponent_maps(maps, order, upper)
+
+
+def rank_exponent_maps(rows, order: int, upper: int | None = None) -> int:
+    """Rank over Q(zeta_d), d = ``order``, of rows of integer exponent maps,
+    certified from their images modulo primes.
+
+    A row maps a column to an exponent map ``{k: c}`` with int coefficients,
+    the entry sum c zeta^k; an absent column or an empty map is zero, and
+    rows are not mutated.  For primes p = 1 (mod d) from :func:`rank_prime`,
+    the row images under zeta -> w in F_p are eliminated sparsely.  The
+    result is the rank r over Q(zeta_d):
+
+    - rank mod p <= r, since a nonzero minor mod p lifts to a nonzero minor;
+    - if rank mod p < r, then p divides N(Delta) for a fixed nonzero r x r
+      minor Delta: Delta lies in the kernel of Z[zeta_d] -> F_p, which is a
+      prime over p, and N(Delta) is Delta times algebraic integers;
+    - |N(Delta)| <= H^phi(d), where H is the product of the ``cap`` largest
+      row norms max(1, ||row||_2), each entry counted as the l1 norm of its
+      exponent map.  Every complex embedding sends zeta^k to a number of
+      modulus 1, so that l1 norm bounds the entry in every embedding, and
+      Hadamard's inequality bounds every embedding of Delta by the product
+      of the norms of its own r rows.  Since r <= cap and every norm of a
+      nonzero row is >= 1, that product is at most H.
+
+    So the distinct primes that fall short all divide one nonzero integer
+    of size at most H^phi(d).  Primes are used until the rank reaches
+    ``cap``, the least of the number of nonzero rows, of columns with a
+    nonzero entry and ``upper``, or their product exceeds H^phi(d); the
+    largest rank seen is then r.  ``upper`` must be an upper bound on r
+    that the caller knows: a prime that reaches it proves r = upper.  The
+    comparison is by bit lengths: the product is at least 2^b with
+    b = sum(bit_length(p) - 1), and H^(2 phi(d)) < 2^(phi(d) * bit_length(H^2)),
+    so 2 b >= that exponent proves product > H^phi(d).
+
+    Zero tests are structural: an entry is skipped when its map is empty.
+    A nonzero map that sums to zero is kept; its images are 0 mod every p.
+    """
+    int_rows = []  # nonzero rows as lists of (column, exponent map)
+    exponents = set()
+    columns = set()
+    norms = []  # ||row||_2^2 per nonzero row, each >= 1
+    for r in rows:
+        entries = [(j, t) for j, t in r.items() if t]
         if not entries:
             continue
-        if not all(type(c) is int for _j, t in entries for c in t.values()):
-            den = lcm(*(c.denominator for _j, t in entries for c in t.values()))
-            entries = [
-                (j, {k: c.numerator * (den // c.denominator) for k, c in t.items()}) for j, t in entries
-            ]
         int_rows.append(entries)
+        norm = 0
         for j, t in entries:
             columns.add(j)
             exponents.update(t)
-        norms *= sum(sum(map(abs, t.values())) ** 2 for _j, t in entries)
+            norm += sum(map(abs, t.values())) ** 2
+        norms.append(norm)
     if not int_rows:
         return 0
     cap = min(len(int_rows), len(columns))
     if upper is not None:
         cap = min(cap, upper)
-    need = euler_phi(order) * norms.bit_length()  # norms = H^2, H^(2 phi) < 2^need
+    norms.sort(reverse=True)
+    need = euler_phi(order) * prod(norms[:cap]).bit_length()  # H^(2 phi) < 2^need
     best, bits, k = 0, 0, 0
     while best < cap and 2 * bits < need:
         p, w = rank_prime(order, k)

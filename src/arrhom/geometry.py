@@ -379,15 +379,6 @@ class NormalizationRecord:
         return Line.from_coeffs(*self.matrix[2])
 
 
-def _shear_x(t):
-    # x -> x + t*y
-    return (
-        (Fraction(1), Fraction(t), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1)),
-    )
-
-
 def _normalizes(arr: Arrangement, N) -> bool:
     """Whether ``transform(arr, N)`` is normalized, read off the input's lines.
 

@@ -66,11 +66,6 @@ class LocalSystem:
             return CycloNumber.zeta(self.order, self.exponents[line_id])
         return self.values[line_id]
 
-    def m_inverse(self, line_id: int):
-        if self.is_exact:
-            return CycloNumber.zeta(self.order, -self.exponents[line_id])
-        return 1.0 / self.values[line_id]
-
     def one(self):
         return CycloNumber.one(self.order) if self.is_exact else complex(1.0)
 

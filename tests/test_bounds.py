@@ -26,6 +26,22 @@ def test_bounds_quadrilateral(quadrilateral, quadrilateral_system):
     assert h1(quadrilateral, quadrilateral_system).h1 == 1  # the bound is sharp
 
 
+def test_per_line_bounds_reject_ids_that_name_no_line(quadrilateral):
+    # on the order-5 quadrilateral only the point of lines 0-2 is resonant,
+    # so -6 (line 0 read from the end) and -1 (line 5) would answer for
+    # another line
+    system = LocalSystem(order=5, exponents=[1, 1, 3, 1, 2, 2])
+    res = resonant_points(quadrilateral, system)
+    assert [cdo_bound(quadrilateral, res, lid) for lid in range(6)] == [1, 1, 1, 0, 0, 0]
+    for lid in (-6, -1, 6):
+        with pytest.raises(IndexError):
+            cdo_bound(quadrilateral, res, lid)
+        with pytest.raises(IndexError):
+            r0_bound(quadrilateral, res, lid)
+    with pytest.raises(PencilNotCovered):  # the typed check comes first
+        r0_bound(pencil(3), resonant_points(pencil(3), LocalSystem(order=3, exponents=[1, 1, 1])), -1)
+
+
 def test_r0_bound_arithmetic():
     # a base line through three triple points, all resonant: bound is 2
     lines = [Line.from_slope_intercept(0, 0)]

@@ -14,6 +14,7 @@ from arrhom.cyclo import (
     euler_phi,
     rank,
     rank_exact,
+    rank_exponent_maps,
     rank_float,
     rank_prime,
 )
@@ -316,6 +317,46 @@ def test_rank_is_capped_by_the_columns_that_occur(monkeypatch):
     m = [{0: W * 10**40}, {0: ONE3 * 3**50, 5: ZERO3}, {4: ZERO3, 0: W2 * 7**30}]
     assert rank_exact(m) == 1
     assert len(images) == 1
+
+
+def test_rank_bound_counts_only_the_cap_largest_rows(monkeypatch):
+    # five proportional rows over two columns: rank 1 below the cap 2, so
+    # primes are used until they outweigh the bound, which takes the two
+    # largest row norms, not all five
+    images = _record_images(monkeypatch)
+    m = [{0: ONE3 * 2 ** (40 + i), 1: W * 2 ** (40 + i)} for i in range(5)]
+    assert rank_exact(m) == 1 == rank_float(_complex(m))
+    norms = sorted(2 * 4 ** (40 + i) for i in range(5))
+
+    def primes_for(bound):
+        need, bits, k = euler_phi(3) * bound.bit_length(), 0, 0
+        while 2 * bits < need:
+            bits += rank_prime(3, k)[0].bit_length() - 1
+            k += 1
+        return k
+
+    assert len(images) == primes_for(norms[-1] * norms[-2]) == 3
+    assert primes_for(norms[0] * norms[1] * norms[2] * norms[3] * norms[4]) == 8
+    assert all(r == 1 for _p, r in images)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_core_takes_exponent_maps(seed):
+    # the certified core on the entries' own maps gives rank_exact's rank;
+    # empty maps are zeros, rows are not mutated, and upper caps the rank
+    rng = random.Random(200 + seed)
+    d = rng.choice([2, 3, 5, 12])
+    m = _random_matrix(rng, d, rng.randint(1, 8), rng.randint(1, 8))
+    m += [{j: x + m[0][j] for j, x in m[-1].items()}]
+    maps = [{j: dict(x.terms) for j, x in r.items()} for r in m]
+    maps.append({0: {}, 3: {}})
+    before = [{j: dict(t) for j, t in r.items()} for r in maps]
+    r = rank_exponent_maps(maps, d)
+    assert r == rank_exact(m) == rank_float(_complex(m))
+    assert maps == before
+    assert rank_exponent_maps(maps, d, upper=r) == r
+    assert rank_exponent_maps(maps, d, upper=0) == 0
+    assert rank_exponent_maps([{0: {}}, {}], d) == rank_exponent_maps([], d) == 0
 
 
 def test_rank_exact_matches_float_30x30():

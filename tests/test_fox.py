@@ -32,12 +32,29 @@ def test_decone_keeps_incidences(quadrilateral, quadrilateral_system):
 
 
 def test_decone_product_consistency(quadrilateral, quadrilateral_system):
+    # the chart carries exponents: their sum is the removed line's inverse
     for lid in range(6):
         dec = decone(quadrilateral, quadrilateral_system, lid)
+        assert dec.order == 3
         prod = CycloNumber.one(3)
-        for v in dec.monodromy:
-            prod = prod * v
-        assert prod == quadrilateral_system.m_inverse(lid)
+        for k in dec.monodromy:
+            prod = prod * CycloNumber.zeta(3, k)
+        assert prod == quadrilateral_system.m(lid).inverse()
+    float_system = quadrilateral_system.to_float()
+    for lid in range(6):
+        dec = decone(quadrilateral, float_system, lid)
+        assert dec.order is None
+        assert dec.monodromy == tuple(float_system.values[i] for i in dec.line_ids)
+
+
+@pytest.mark.parametrize("lid", [-1, 6, 7])
+def test_decone_rejects_ids_that_name_no_line(quadrilateral, quadrilateral_system, lid):
+    # -1 would keep the removed line among the wires and send it to
+    # infinity, where no shear makes it non-vertical
+    with pytest.raises(IndexError):
+        decone(quadrilateral, quadrilateral_system, lid)
+    with pytest.raises(IndexError):
+        oracle_h1(quadrilateral, quadrilateral_system, lid)
 
 
 def test_wiring_diagram_counts(quadrilateral, quadrilateral_system):
@@ -79,7 +96,7 @@ def test_fox_fundamental_identity(quadrilateral, quadrilateral_system):
     for row in d2:
         acc = zero
         for j, v in row.items():
-            acc = acc + v * d1[j]
+            acc = acc + CycloNumber.from_terms(3, v) * CycloNumber.from_terms(3, d1[j])
         assert acc.is_zero
 
 
@@ -134,13 +151,17 @@ def test_grid_charts_sweep_shared_abscissas_as_a_small_shear_would():
     shared = 0
     for line_id in range(arr.n):
         dec = decone(arr, ls, line_id)
-        xs = [x for (x, _y), _wires in dec.crossings]
+        xs = [Fraction(X, Z) for (X, _Y, Z), _wires in dec.crossings]
         shared += len(set(xs)) < len(xs)
         sheared = tuple(Line.from_coeffs(l.a, l.b - t * l.a, l.c) for l in dec.lines)
         assert not any(is_vertical(l) for l in sheared)
-        crossings = tuple(((p.x, p.y), p.line_ids) for p in intersections(sheared) if not p.is_infinite)
+        crossings = tuple(
+            (tuple(c if p.coords[2] > 0 else -c for c in p.coords), tuple(sorted(p.line_ids)))
+            for p in intersections(sheared)
+            if not p.is_infinite
+        )
         assert len(crossings) == len(dec.crossings)
-        assert len({x for (x, _y), _wires in crossings}) == len(crossings), line_id
+        assert len({Fraction(X, Z) for (X, _Y, Z), _wires in crossings}) == len(crossings), line_id
         assert presentation(replace(dec, lines=sheared, crossings=crossings)) == presentation(dec), line_id
     assert shared >= 8  # every chart but line 6's, whose integer shear already separates them
 

@@ -264,7 +264,7 @@ def test_mapped_points_match_reintersection(make):
             frames += 1
         # the decone chart of the Fox oracle sweeps its mapped affine points
         dec = decone(inst.arrangement, inst.system, k % inst.arrangement.n)
-        got = [(xy, tuple(sorted(wires))) for xy, wires in dec.crossings]
+        got = [((Fraction(X, Z), Fraction(Y, Z)), wires) for (X, Y, Z), wires in dec.crossings]
         assert got == _affine(_reintersect(dec.lines)), (k, dec.lines)
         frames += 1
     assert frames >= 400

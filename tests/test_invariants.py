@@ -6,7 +6,6 @@ Each check is made to fail by injecting a fault into the data it guards.
 import ast
 import json
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -99,9 +98,48 @@ def test_beta_certificate_checks_the_lowest_point_is_unique(
         bounds.beta_certificate(narr, geometry.chambers(narr), quadrilateral_system, 0)
 
 
-def test_decone_checks_the_monodromy_at_infinity(quadrilateral, quadrilateral_system, monkeypatch):
-    monkeypatch.setattr(quadrilateral_system, "m_inverse", lambda i: quadrilateral_system.one())
+def test_decone_checks_the_monodromy_at_infinity(quadrilateral):
+    # exponents that do not sum to 0 mod d: around infinity the kept lines
+    # multiply to zeta^5, not to the removed line's inverse zeta^-1
+    fox.decone(quadrilateral, LocalSystem(order=7, exponents=[1, 1, 1, 1, 1, 2]), 0)
     with pytest.raises(InvariantError, match="around infinity"):
+        fox.decone(quadrilateral, LocalSystem(order=7, exponents=[1] * 6), 0)
+
+
+def _with_points(arr, points):
+    """The lines of ``arr`` with the given intersection points."""
+    return Arrangement(arr.lines, [IntersectionPoint(k, c, ids) for k, (c, ids) in enumerate(points)])
+
+
+def test_decone_checks_each_mapped_point_lies_on_its_lines(quadrilateral, quadrilateral_system):
+    points = [(p.coords, p.line_ids) for p in quadrilateral.points]
+    fox.decone(_with_points(quadrilateral, points), quadrilateral_system, 0)
+    off = next(k for k, (_c, ids) in enumerate(points) if 0 not in ids)
+    (X, Y, Z), ids = points[off]
+    for fault in (((X + 1, Y, Z), ids), ((X, Y, Z), ids[:-1])):
+        points[off] = fault
+        with pytest.raises(InvariantError, match="mapped point .* lies on lines"):
+            fox.decone(_with_points(quadrilateral, points), quadrilateral_system, 0)
+    # a point that the removed line passes through, under the ids of another
+    on = next(k for k, (_c, ids) in enumerate(points) if 0 in ids)
+    points[off] = (points[on][0], ids)
+    with pytest.raises(InvariantError, match="mapped point .* lies on lines"):
+        fox.decone(_with_points(quadrilateral, points), quadrilateral_system, 0)
+
+
+def test_decone_checks_mapped_points_are_distinct(quadrilateral, quadrilateral_system):
+    points = [(p.coords, p.line_ids) for p in quadrilateral.points]
+    twice = points + [next(g for g in points if 0 not in g[1])]
+    with pytest.raises(InvariantError, match="coincide"):
+        fox.decone(_with_points(quadrilateral, twice), quadrilateral_system, 0)
+
+
+def test_decone_checks_no_line_is_vertical(monkeypatch, quadrilateral, quadrilateral_system):
+    # without the shear, the lines x = 0 and x = 1 stay vertical in the
+    # chart that removes y = 0
+    fox.decone(quadrilateral, quadrilateral_system, 0)
+    monkeypatch.setattr(fox, "_shear", lambda forms: 0)
+    with pytest.raises(InvariantError, match="vertical"):
         fox.decone(quadrilateral, quadrilateral_system, 0)
 
 
@@ -110,7 +148,7 @@ def test_wiring_diagram_checks_crossing_wires_are_adjacent(quadrilateral, quadri
     dec = fox.decone(quadrilateral, quadrilateral_system, 0)
     order = fox.wiring_diagram(dec).initial_order
     assert len(order) >= 3
-    far_apart = replace(dec, crossings=(((Fraction(0), Fraction(0)), (order[0], order[-1])),))
+    far_apart = replace(dec, crossings=(((0, 0, 1), tuple(sorted((order[0], order[-1])))),))
     with pytest.raises(InvariantError, match="not adjacent"):
         fox.wiring_diagram(far_apart)
 
@@ -156,13 +194,15 @@ def test_transform_checks_mapped_points_are_distinct(quadrilateral):
 
 
 def test_invariant_failure_exits_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(LocalSystem, "m_inverse", lambda self, i: self.one())
+    # with the admissibility check bypassed, exponents that do not sum to
+    # 0 mod d reach the chart's check of the monodromy around infinity
+    monkeypatch.setattr(LocalSystem, "require_admissible", lambda self, arr: None)
     path = tmp_path / "quad.json"
     path.write_text(
         json.dumps(
             {
                 "lines": [[0, 1, 0], [1, 0, 0], [1, -1, 0], [1, 1, -1], [1, 0, -1], [0, 1, -1]],
-                "local_system": {"order": 3, "exponents": [1] * 6},
+                "local_system": {"order": 3, "exponents": [1] * 5 + [2]},
             }
         )
     )

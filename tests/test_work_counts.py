@@ -277,25 +277,45 @@ def test_one_certificate_runs_at_most_three_ranks(monkeypatch, quadrilateral, qu
 
 
 def test_oracle_maps_one_chart_and_intersects_nothing(calls, monkeypatch, generic_triangle):
-    charts = Counter()
-    _track(monkeypatch, charts, "transform", geometry, "transform")
+    # the chart is one integer map of the input's points: no frame is
+    # transformed, nothing is intersected, no CycloNumber is built, and the
+    # Fox rows go to the certified core without rank_exact's checks
+    work = Counter()
+    for name, owner, attr in (
+        ("transform", geometry, "transform"),
+        ("rank_exact", cyclo, "rank_exact"),
+        ("rank_exponent_maps", cyclo, "rank_exponent_maps"),
+    ):
+        _track(monkeypatch, work, name, owner, attr)
+    real_from_terms = CycloNumber.from_terms
+
+    def counting_from_terms(cls, *args):
+        work["from_terms"] += 1
+        return real_from_terms(*args)
+
+    monkeypatch.setattr(CycloNumber, "from_terms", classmethod(counting_from_terms))
     grid = Arrangement([Line.from_coeffs(*l) for l in GRID_LINES])
     grid_system = LocalSystem(order=3, exponents=[1] * 9)
     grid.points, generic_triangle.points  # the input's points, intersected once
     calls.clear()
     for lid in range(grid.n):  # every grid chart has a vertical line before its shear
-        charts.clear()
+        work.clear()
         assert fox.oracle_h1(grid, grid_system, lid) == 1
-        assert charts["transform"] == 2
+        assert work == {"rank_exponent_maps": 1}
     # decone the triangle y = 0, y = x - 2, y = 3 - x along y = x - 2: the
     # chart (X : Y : X - Y - 2Z) has the lines y = 0 and -x + 5y + 3 = 0,
-    # neither vertical, so no shear follows the first map
+    # neither vertical, so no shear is composed into the map
     ls = LocalSystem(order=3, exponents=[1, 1, 1])
-    charts.clear()
+    work.clear()
     assert fox.oracle_h1(generic_triangle, ls, 1) == 0
-    assert charts["transform"] == 1
+    assert work == {"rank_exponent_maps": 1}
     assert fox.decone(generic_triangle, ls, 1).lines == (Line(0, 1, 0), Line.from_coeffs(-1, 5, 3))
     assert calls["intersections"] == 0
+    # the counters see each kind of work
+    work.clear()
+    geometry.transform(grid, geometry.mat_identity())
+    assert cyclo.rank_exact([{0: CycloNumber.from_terms(3, {1: 1})}]) == 1
+    assert work == {"transform": 1, "from_terms": 1, "rank_exact": 1, "rank_exponent_maps": 1}
 
 
 def test_grid_report_does_no_power_basis_reduction_on_the_hot_path(monkeypatch, tmp_path, capsys):
@@ -309,7 +329,12 @@ def test_grid_report_does_no_power_basis_reduction_on_the_hot_path(monkeypatch, 
         return real(*args)
 
     monkeypatch.setattr(cyclo, "_power_basis", counting)
-    for owner, attr in ((fox, "_fox_row"), (homology, "relation_matrix"), (cyclo, "rank_exact")):
+    for owner, attr in (
+        (fox, "_fox_row"),
+        (homology, "relation_matrix"),
+        (cyclo, "rank_exact"),
+        (cyclo, "rank_exponent_maps"),
+    ):
         original = getattr(owner, attr)
 
         def wrapper(*args, _fn=original, _name=attr, **kwargs):
@@ -326,7 +351,9 @@ def test_grid_report_does_no_power_basis_reduction_on_the_hot_path(monkeypatch, 
     path.write_text(json.dumps({"lines": GRID_LINES, "local_system": {"order": 3, "exponents": [1] * 9}}))
     assert main(["h1", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["h1"] == 1
-    assert entered["_fox_row"] > 0 and entered["relation_matrix"] == 1 and entered["rank_exact"] == 2
+    assert entered["_fox_row"] > 0 and entered["relation_matrix"] == 1
+    # K through rank_exact's checks, the Fox oracle's d2 straight to the core
+    assert entered["rank_exact"] == 1 and entered["rank_exponent_maps"] == 2
     assert set(reductions) <= {"elsewhere"}
     (CycloNumber.zeta(3) + 1).inverse()  # the counter sees a cold-path reduction
     assert reductions["elsewhere"] >= 1
@@ -353,5 +380,5 @@ def test_relation_rows_reach_rank_exact_as_built(monkeypatch, tmp_path, capsys):
     assert main(["h1", str(path)]) == 0
     capsys.readouterr()
     (rep,) = reports
-    assert len(entries) == 2  # K, then the Fox oracle's d2
+    assert len(entries) == 1  # K; the Fox oracle's d2 goes to the certified core directly
     assert entries[0] == sum(len(r.coeffs) for r in rep.rows) < rep.num_rows * rep.dim_A
