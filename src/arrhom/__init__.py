@@ -2,7 +2,7 @@
 line arrangements, with combinatorial upper bounds and an independent
 Fox-calculus cross-check."""
 
-from .cyclo import CycloNumber, cyclotomic_polynomial, rank
+from .cyclo import CycloNumber, rank
 from .geometry import (
     Arrangement,
     Line,
@@ -25,7 +25,6 @@ __all__ = [
     "beta_certificate",
     "cdo_bound",
     "chambers",
-    "cyclotomic_polynomial",
     "decone",
     "euler_characteristic",
     "h1",

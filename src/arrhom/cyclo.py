@@ -1,26 +1,25 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_d), plus matrix rank.
+"""Exact arithmetic in the cyclotomic integers Z[zeta_d], plus matrix rank.
 
-An element is stored as a sparse map from exponents k mod d to nonzero
-coefficients, the combination sum c_k zeta^k.  Coefficients are ints, or
-``Fraction`` where one was given.  Every exact quantity of the program is
-such a combination with few terms: monodromies, partial products, point and
-chamber rows, Fox derivatives and beta vectors.  So the ring operations
-never touch the power basis: a sum merges two maps and a product convolves
-their exponents mod d, which is a shift when one factor is a monomial.
+An element is stored as a sparse map from exponents k mod d to nonzero int
+coefficients, the combination sum c_k zeta^k.  Every exact quantity of the
+program is such a combination with few terms: monodromies, partial
+products, point and chamber rows, Fox derivatives and beta vectors.  So the
+ring operations never touch the power basis: a sum merges two maps and a
+product convolves their exponents mod d, which is a shift when one factor
+is a monomial.  A value is built only from ints; any other coefficient
+raises ``TypeError``.  The only divisors are partial products of
+monodromies, so only the units +-zeta^k are inverted.
 
 The map is not a canonical form (for d = 3, 1 + zeta + zeta^2 = 0).  The
 power-basis coefficients modulo Phi_d are computed only when equality,
-hashing, printing, ``coeffs``, a non-monomial inverse or the zero test of
-a map with three or more terms needs them, and are then cached on the
-element.  Monomials need no reduction: c zeta^a = c' zeta^b exactly when
-a = b and c = c', or when d is even, b = a + d/2 and c = -c'.
+printing or the zero test of a map with three or more terms needs them.
+Monomials need no reduction: c zeta^a = c' zeta^b exactly when a = b and
+c = c', or when d is even, b = a + d/2 and c = -c'.
 
 Exact rank is computed from modular images, not over Q(zeta_d) itself.
-A row whose coefficients are all ints has its entries in Z[zeta_d] already;
-scaling a row that holds a ``Fraction`` by the lcm of its denominators puts
-its entries there too, without changing the rank r.  For a prime p = 1 (mod d)
-and a primitive d-th root w mod p, zeta -> w is a ring map Z[zeta_d] -> F_p,
-so the rank mod p never exceeds r, and it falls short only when p divides
+Every entry lies in Z[zeta_d].  For a prime p = 1 (mod d) and a primitive
+d-th root w mod p, zeta -> w is a ring map Z[zeta_d] -> F_p, so the rank
+mod p never exceeds the rank r, and it falls short only when p divides
 the norm N(Delta) of a fixed nonzero r x r minor Delta.  Every complex
 embedding sends zeta^k to a number of modulus 1, so it sends an entry to a
 number of modulus at most the l1 norm of its map, and Hadamard's inequality
@@ -45,17 +44,14 @@ choose the same pivots as a dense elimination of the same rows would
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
-from numbers import Rational as _Rational
+from math import prod
 
 from .errors import InvariantError, ModeMismatch, OrderMismatch
 
 __all__ = [
     "MAX_ORDER",
     "CycloNumber",
-    "cyclotomic_polynomial",
     "euler_phi",
     "rank",
     "rank_exact",
@@ -71,63 +67,6 @@ __all__ = [
 # with h1 = 1 takes 2.8 s at order 16381 and passes every check; at 32749
 # its float cross-check fails (README, "Guarantees and limits").
 MAX_ORDER = 1 << 14
-
-
-# ---------------------------------------------------------------------------
-# integer / rational polynomial helpers (coefficient lists, low degree first)
-
-
-def _trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _trim(out)
-
-
-def _poly_divmod(num, den):
-    """Polynomial division; den must be monic so this is exact over Z."""
-    num = list(num)
-    quot = [0] * max(0, len(num) - len(den) + 1)
-    while len(num) >= len(den) and num:
-        shift = len(num) - len(den)
-        coeff = num[-1]
-        quot[shift] = coeff
-        for i, c in enumerate(den):
-            num[shift + i] -= coeff * c
-        _trim(num)
-    return quot, num
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(d: int) -> tuple:
-    """Coefficients of Phi_d, low degree first, monic with integer entries.
-
-    Computed by exact division of x^d - 1 by the product of Phi_e over the
-    proper divisors e of d.
-    """
-    if d < 1:
-        raise ValueError("order must be a positive integer")
-    if d == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (d - 1) + [1]
-    den = [1]
-    for e in range(1, d):
-        if d % e == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(e)))
-    quot, rem = _poly_divmod(num, den)
-    if rem:
-        raise InvariantError(f"x^{d} - 1 is not divisible by the lower cyclotomic factors")
-    return tuple(quot)
 
 
 @lru_cache(maxsize=None)
@@ -250,11 +189,6 @@ def _unit(d: int, k: int) -> complex:
     return out
 
 
-def _coefficient(c):
-    """An int stays an int; any other rational becomes a Fraction."""
-    return c if type(c) is int or isinstance(c, Fraction) else Fraction(c)
-
-
 _set = object.__setattr__
 
 
@@ -263,27 +197,20 @@ def _make(order, terms):
     out = object.__new__(CycloNumber)
     _set(out, "order", order)
     _set(out, "terms", terms)
-    _set(out, "_basis", None)
     return out
 
 
-class CycloNumber:
-    """An element of Q(zeta_d): a sparse map from exponents mod d to coefficients.
+def _not_int(c) -> TypeError:
+    return TypeError(f"cyclotomic integers take int coefficients, not {type(c).__name__}")
 
-    ``terms`` must not be mutated; ``coeffs`` is the reduced power basis.
+
+class CycloNumber:
+    """An element of Z[zeta_d]: a sparse map from exponents mod d to ints.
+
+    ``terms`` must not be mutated.  Build values with the class methods.
     """
 
-    __slots__ = ("order", "terms", "_basis")
-
-    def __init__(self, order, coeffs):
-        """The element with power-basis coefficients ``coeffs`` (phi(d) of them)."""
-        deg = euler_phi(order)
-        coeffs = tuple(_coefficient(c) for c in coeffs)
-        if len(coeffs) != deg:
-            raise ValueError(f"need {deg} coefficients for order {order}")
-        _set(self, "order", order)
-        _set(self, "terms", {k: c for k, c in enumerate(coeffs) if c})
-        _set(self, "_basis", coeffs)
+    __slots__ = ("order", "terms")
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloNumber is immutable")
@@ -299,17 +226,14 @@ class CycloNumber:
         return _make(order, {0: 1})
 
     @classmethod
-    def from_rational(cls, order, value):
-        value = _coefficient(value)
-        return _make(order, {0: value} if value else {})
-
-    @classmethod
     def from_terms(cls, order, terms):
-        """sum c zeta^k over a map k -> c; exponents are read mod d."""
+        """sum c zeta^k over a map k -> c of ints; exponents are read mod d."""
         out = {}
         for k, c in terms.items():
+            if type(c) is not int:
+                raise _not_int(c)
             k %= order
-            v = out.get(k, 0) + _coefficient(c)
+            v = out.get(k, 0) + c
             if v:
                 out[k] = v
             else:
@@ -330,16 +254,9 @@ class CycloNumber:
                     f"orders differ: {self.order} vs {other.order}"
                 )
             return other
-        if isinstance(other, _Rational):
-            return CycloNumber.from_rational(self.order, other)
-        return None
-
-    @property
-    def coeffs(self) -> tuple:
-        """Power-basis coefficients modulo Phi_d, computed once."""
-        if self._basis is None:
-            _set(self, "_basis", _power_basis(self.order, self.terms))
-        return self._basis
+        if type(other) is int:
+            return _make(self.order, {0: other} if other else {})
+        raise _not_int(other)
 
     @property
     def is_zero(self):
@@ -351,7 +268,7 @@ class CycloNumber:
             (a, c), (b, c2) = terms.items()
             d = self.order
             return c == c2 and 2 * (a - b) % d == 0
-        return not any(self.coeffs)
+        return not any(_power_basis(self.order, terms))
 
     def __bool__(self):
         return not self.is_zero
@@ -360,8 +277,6 @@ class CycloNumber:
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
@@ -380,21 +295,10 @@ class CycloNumber:
         return _make(self.order, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return self + (-self._coerce(other))
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         d = self.order
         a, b = self.terms, other.terms
         if len(a) < len(b):
@@ -416,69 +320,33 @@ class CycloNumber:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse.
+        """The inverse of a unit +-zeta^k, which negates its exponent.
 
-        A monomial's inverse negates its exponent.  Otherwise the inverse is
-        the product of the other Galois conjugates x(zeta^j), gcd(j, d) = 1,
-        j != 1, divided by the norm, the product of all of them, which is
-        rational.
+        The program divides only by partial products of monodromies, so no
+        other inverse is needed: any other nonzero map raises ``ValueError``,
+        also one that equals a unit in the ring (1 + zeta_3 = -zeta_3^2),
+        and zero raises ``ZeroDivisionError``.
         """
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
         d, terms = self.order, self.terms
         if len(terms) == 1:
             ((k, c),) = terms.items()
-            return _make(d, {-k % d: c if c in (1, -1) else 1 / Fraction(c)})
-        others = CycloNumber.one(d)
-        for j in range(2, d):
-            if gcd(j, d) == 1:
-                others = others * _make(d, {k * j % d: c for k, c in terms.items()})
-        norm = (self * others).coeffs
-        if any(norm[1:]):
-            raise InvariantError("the norm of a cyclotomic number is not rational")
-        return others * (1 / Fraction(norm[0]))
+            if c in (1, -1):
+                return _make(d, {-k % d: c})
+        elif self.is_zero:
+            raise ZeroDivisionError("inverse of zero cyclotomic number")
+        raise ValueError(f"{self!r} is not a unit +-zeta^k")
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = CycloNumber.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return self * self._coerce(other).inverse()
 
     # -- comparison / conversion ----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, CycloNumber):
-            if self.order != other.order:
-                return False
-            if len(self.terms) <= 1 and len(other.terms) <= 1:
-                return (self - other).is_zero
-            return self.coeffs == other.coeffs
-        if isinstance(other, _Rational):
-            return self == CycloNumber.from_rational(self.order, other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
+        if type(other) is int:
+            other = self._coerce(other)
+        elif not isinstance(other, CycloNumber):
+            return NotImplemented
+        return self.order == other.order and (self - other).is_zero
 
     def to_complex(self) -> complex:
         """The embedding zeta_d -> e^(2 pi i/d), as one sum over the exponents."""
@@ -491,7 +359,7 @@ class CycloNumber:
 
     def __repr__(self):
         terms = []
-        for j, c in enumerate(self.coeffs):
+        for j, c in enumerate(_power_basis(self.order, self.terms)):
             if c == 0:
                 continue
             if j == 0:
@@ -605,13 +473,10 @@ def _mismatch(x) -> Exception:
 def rank_exact(rows, upper: int | None = None) -> int:
     """Rank over Q(zeta_d) of rows that map columns to :class:`CycloNumber`.
 
-    This checks the entries and hands their own exponent maps to
-    :func:`rank_exponent_maps`, which certifies the rank.  A row whose
-    coefficients are all ``int`` lies in Z[zeta_d] and goes as it is.  Any
-    other row, one holding a ``Fraction`` even with denominator 1, is scaled
-    by the lcm of its coefficient denominators into new int maps, which
-    leaves the rank unchanged.  The test is on the type, so the certified
-    core sees only ints.  An entry that is not a ``CycloNumber`` raises
+    Every entry lies in Z[zeta_d], with int coefficients by construction, so
+    this checks the entries' types and orders and hands their own exponent
+    maps, unchanged, to :func:`rank_exponent_maps`, which certifies the
+    rank.  An entry that is not a ``CycloNumber`` raises
     :class:`~arrhom.errors.ModeMismatch` (or ``TypeError`` for a scalar of
     no mode), and two orders raise :class:`~arrhom.errors.OrderMismatch`.
     """
@@ -628,9 +493,6 @@ def rank_exact(rows, upper: int | None = None) -> int:
                 order = x.order
             if x.terms:
                 entries[j] = x.terms
-        if not all(type(c) is int for t in entries.values() for c in t.values()):
-            den = lcm(*(c.denominator for t in entries.values() for c in t.values()))
-            entries = {j: {k: c.numerator * (den // c.denominator) for k, c in t.items()} for j, t in entries.items()}
         maps.append(entries)
     return rank_exponent_maps(maps, order, upper)
 

@@ -243,25 +243,28 @@ def _w_mul(*words):
 
 
 def presentation(dec: DeconedArrangement) -> GroupPresentation:
+    """The sweep's relators, from the meridian word of each wire.
+
+    At a crossing the wires reverse: each wire but the top one ends up above
+    the wires that were over it, so its word is conjugated by the product
+    of their words.  Those suffix products are built once, top down, each
+    from the one above it; free reduction is unique, so they are the words
+    that multiplying each suffix from scratch gives.
+    """
     wd = wiring_diagram(dec)
     m = len(dec.lines)
-    words = [None] * m
-    for wire in range(m):
-        words[wire] = (wire + 1,)
+    words = [(wire + 1,) for wire in range(m)]
     relators = []
     for _x, _lo, wires in wd.events:
-        r = len(wires)
         local = [words[w] for w in wires]  # bottom to top
-        prod = _w_mul(*local)
-        for j in range(r - 1):
-            relators.append(_w_mul(prod, local[j], _w_inv(prod), _w_inv(local[j])))
-        # wires reverse; a wire passing above its lower neighbours is
-        # conjugated by their product
-        for j, wire in enumerate(wires):
-            suffix = local[j + 1 :]
-            if suffix:
-                conj = _w_mul(*suffix)
-                words[wire] = _w_mul(_w_inv(conj), words[wire], conj)
+        conj = ()
+        for j in range(len(wires) - 2, -1, -1):
+            conj = _w_mul(local[j + 1], conj)  # local[j+1] ... local[-1]
+            words[wires[j]] = _w_mul(_w_inv(conj), local[j], conj)
+        prod = _w_mul(local[0], conj)
+        prod_inv = _w_inv(prod)
+        for w in local[:-1]:
+            relators.append(_w_mul(prod, w, prod_inv, _w_inv(w)))
     return GroupPresentation(tuple(range(m)), tuple(relators))
 
 

@@ -46,10 +46,13 @@ class LocalSystem:
         else:
             if order is None or exponents is None:
                 raise ValueError("exact mode needs an order and exponents")
-            if not 1 <= order <= MAX_ORDER:
-                raise ValueError(f"order must be from 1 to {MAX_ORDER}")
-            self.order = int(order)
-            self.exponents = tuple(int(k) % self.order for k in exponents)
+            if type(order) is not int or not 1 <= order <= MAX_ORDER:
+                raise ValueError(f"order must be an int from 1 to {MAX_ORDER}")
+            exponents = tuple(exponents)
+            if any(type(k) is not int for k in exponents):
+                raise ValueError("exponents must be ints")
+            self.order = order
+            self.exponents = tuple(k % order for k in exponents)
             self.values = None
 
     @property

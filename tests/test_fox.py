@@ -6,11 +6,11 @@ import pytest
 
 from arrhom.cyclo import CycloNumber
 from arrhom.geometry import Arrangement, Line, intersections
-from arrhom.fox import decone, fox_complex, oracle_h1, presentation, wiring_diagram
+from arrhom.fox import _w_inv, _w_mul, decone, fox_complex, oracle_h1, presentation, wiring_diagram
 from arrhom.fuzz import corpus
 from arrhom.homology import h1
 from arrhom.local_system import LocalSystem
-from conftest import GRID_LINES, pencil
+from conftest import pencil
 from frame_helpers import incidence_signature, is_vertical
 
 
@@ -138,15 +138,54 @@ def test_oracle_matches_main_algorithm(idx):
     assert oracle_h1(inst.arrangement, inst.system, lid, seed=idx) == rep.h1
 
 
-def _grid_a3():
-    return Arrangement([Line.from_coeffs(*l) for l in GRID_LINES]), LocalSystem(order=3, exponents=[1] * 9)
+def _grid(a):
+    """The triangular grid x = i, y = j (0 <= i, j < a), x + y = c (1 <= c <= 2a - 3), order 3."""
+    lines = [(1, 0, -i) for i in range(a)] + [(0, 1, -j) for j in range(a)] + [(1, 1, -c) for c in range(1, 2 * a - 2)]
+    exponents = [1] * len(lines)
+    exponents[-1] += -sum(exponents) % 3
+    return Arrangement([Line.from_coeffs(*l) for l in lines]), LocalSystem(order=3, exponents=exponents)
+
+
+def _reference_relators(dec):
+    """The sweep's relators with every suffix product and every inverse
+    taken from scratch, as the words were first built."""
+    words = [(wire + 1,) for wire in range(len(dec.lines))]
+    relators = []
+    for _x, _lo, wires in wiring_diagram(dec).events:
+        local = [words[w] for w in wires]
+        prod = _w_mul(*local)
+        for j in range(len(wires) - 1):
+            relators.append(_w_mul(prod, local[j], _w_inv(prod), _w_inv(local[j])))
+        for j, wire in enumerate(wires):
+            suffix = local[j + 1 :]
+            if suffix:
+                conj = _w_mul(*suffix)
+                words[wire] = _w_mul(_w_inv(conj), words[wire], conj)
+    return tuple(relators)
+
+
+@pytest.mark.parametrize("name", ["corpus-20240810", "grids-9-17"])
+def test_presentation_matches_suffix_products_from_scratch(name):
+    instances = {
+        "corpus-20240810": lambda: [(i.arrangement, i.system) for i in corpus(20240810, 100)],
+        "grids-9-17": lambda: [_grid(3), _grid(5)],
+    }[name]()
+    charts = 0
+    for arr, system in instances:
+        for line_id in range(arr.n):
+            dec = decone(arr, system, line_id)
+            pres = presentation(dec)
+            assert pres.relators == _reference_relators(dec), (name, arr.lines, line_id)
+            assert pres.generators == tuple(range(len(dec.lines)))
+            charts += 1
+    assert charts >= {"corpus-20240810": 500, "grids-9-17": 26}[name]
 
 
 def test_grid_charts_sweep_shared_abscissas_as_a_small_shear_would():
     # crossings at one abscissa are swept bottom to top; shearing the chart
     # by a small t > 0 separates them in that order and gives the same
     # presentation, found from the sheared lines alone
-    arr, ls = _grid_a3()
+    arr, ls = _grid(3)
     t = Fraction(1, 1000)
     shared = 0
     for line_id in range(arr.n):
@@ -167,7 +206,7 @@ def test_grid_charts_sweep_shared_abscissas_as_a_small_shear_would():
 
 
 def test_grid_charts_have_no_vertical_line_and_the_oracle_agrees():
-    arr, ls = _grid_a3()
+    arr, ls = _grid(3)
     expected = h1(arr, ls).h1
     for line_id in range(arr.n):
         assert not any(is_vertical(l) for l in decone(arr, ls, line_id).lines)

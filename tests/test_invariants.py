@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import arrhom
-from arrhom import bounds, cyclo, fox, geometry
+from arrhom import bounds, fox, geometry
 from arrhom.cli import main
 from arrhom.errors import ArrhomError, InvariantError
 from arrhom.geometry import Arrangement, IntersectionPoint, normalize
@@ -151,12 +151,6 @@ def test_wiring_diagram_checks_crossing_wires_are_adjacent(quadrilateral, quadri
     far_apart = replace(dec, crossings=(((0, 0, 1), tuple(sorted((order[0], order[-1])))),))
     with pytest.raises(InvariantError, match="not adjacent"):
         fox.wiring_diagram(far_apart)
-
-
-def test_cyclotomic_polynomial_checks_exact_division(monkeypatch):
-    monkeypatch.setattr(cyclo, "_poly_divmod", lambda num, den: ([1], [1]))
-    with pytest.raises(InvariantError, match="not divisible"):
-        cyclo.cyclotomic_polynomial.__wrapped__(12)
 
 
 def _perturb_mapped_point(monkeypatch, which):

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from arrhom.cyclo import MAX_ORDER
 from arrhom.errors import NotALocalSystem, TrivialOnLine
 from arrhom.geometry import Arrangement, Line, normalize
 from arrhom.local_system import LocalSystem, resonant_points
@@ -36,6 +39,32 @@ def test_exponents_mod_order(generic_triangle):
     ls = LocalSystem(order=6, exponents=[1, 1, -2])
     assert ls.exponents == (1, 1, 4)
     assert ls.validate(generic_triangle).ok
+
+
+@pytest.mark.parametrize(
+    "order, exponents",
+    [
+        (4, [1.5, 2.7, 1]),
+        (4, [1, 2, True]),
+        (4, [1, 2, Fraction(1)]),
+        (4, ["1", 2, 1]),
+        (3.5, [1, 1, 1]),
+        (3.0, [1, 1, 1]),
+        (True, [1, 1, 1]),
+        (0, [1, 1, 1]),
+        (MAX_ORDER + 1, [1, 1, 1]),
+    ],
+)
+def test_exact_mode_takes_only_int_data(order, exponents):
+    # nothing is truncated or coerced: a value that is not an int is refused,
+    # as the file parser refuses it
+    with pytest.raises(ValueError):
+        LocalSystem(order=order, exponents=exponents)
+
+
+def test_exponents_may_be_any_iterable_of_ints():
+    ls = LocalSystem(order=5, exponents=iter([1, 7, -3]))
+    assert ls.order == 5 and ls.exponents == (1, 2, 2)
 
 
 def test_float_mode_validation(generic_triangle):

@@ -10,9 +10,12 @@ wherever its object is bound (``from .geometry import chambers`` copies the
 binding into the importing module), so calls from every module are seen.
 """
 
+import importlib
+import importlib.util
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -320,7 +323,7 @@ def test_oracle_maps_one_chart_and_intersects_nothing(calls, monkeypatch, generi
 
 def test_grid_report_does_no_power_basis_reduction_on_the_hot_path(monkeypatch, tmp_path, capsys):
     # Fox rows, relation rows and exact rank work on exponent maps; only the
-    # cold path (equality of long maps, hashing, printing) reduces mod Phi_d
+    # cold path (equality and zero tests of long maps, printing) reduces mod Phi_d
     inside, reductions, entered = [], Counter(), Counter()
     real = cyclo._power_basis
 
@@ -355,7 +358,7 @@ def test_grid_report_does_no_power_basis_reduction_on_the_hot_path(monkeypatch, 
     # K through rank_exact's checks, the Fox oracle's d2 straight to the core
     assert entered["rank_exact"] == 1 and entered["rank_exponent_maps"] == 2
     assert set(reductions) <= {"elsewhere"}
-    (CycloNumber.zeta(3) + 1).inverse()  # the counter sees a cold-path reduction
+    assert CycloNumber.from_terms(3, {0: 1, 1: 1, 2: 1}) == 0  # the counter sees a cold-path reduction
     assert reductions["elsewhere"] >= 1
 
 
@@ -382,3 +385,22 @@ def test_relation_rows_reach_rank_exact_as_built(monkeypatch, tmp_path, capsys):
     (rep,) = reports
     assert len(entries) == 1  # K; the Fox oracle's d2 goes to the certified core directly
     assert entries[0] == sum(len(r.coeffs) for r in rep.rows) < rep.num_rows * rep.dim_A
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # perfbench/tracer.py wraps functions by dotted name, resolved as
+    # Tracer.install does: the module arrhom.<first part>, then getattr for
+    # each further part; a deleted or renamed function must fail here, not
+    # only in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.SPANNED and tracer.COUNTED
+    for name in tracer.SPANNED + tracer.COUNTED:
+        mod_name, *parts = name.split(".")
+        owner = importlib.import_module(f"arrhom.{mod_name}")
+        for attr in parts:
+            assert hasattr(owner, attr), name
+            owner = getattr(owner, attr)
+        assert callable(owner), name
