@@ -32,14 +32,19 @@ their (x, y) order, each point's line ids in slope order, from integer
 slope ranks computed once per frame, and that check.
 
 Chambers of a normalized arrangement come from one walk over the faces of
-the planar figure.  The points sorted along each line give its segments and
-its two rays, and the lines at each point are already slope-sorted, so the
-next boundary edge of a face is read off the ccw order of directions at a
-vertex, or of ray directions at infinity.  The same walk records, at every
-vertex of a chamber, which angle between consecutive lines the chamber
-fills and on which side of the vertical it lies.  The walk reads line signs
-as integer forms, and a normalized frame keeps it, so every report and check
-that reads one frame shares one walk.
+the planar figure, by integer half-edge ids.  The points sorted along each
+line give its segments and its two rays, and the lines at each point are
+already slope-sorted, so the next boundary edge of a face is read off the
+ccw order of directions at a vertex, or of ray directions at infinity.  The
+same walk records, at every vertex of a chamber, which angle between
+consecutive lines the chamber fills and on which side of the vertical it
+lies.  Line signs are evaluated as integer forms at one point of one face;
+every other face takes a neighbour's signs across an edge, with that edge's
+line negated, since the two faces of an edge lie on opposite sides of its
+line and on the same side of every other line (the edge's interior meets no
+other line), and the faces are connected through their edges.  A
+normalized frame keeps its walk, so every report and check that reads one
+frame shares one walk.
 """
 
 from __future__ import annotations
@@ -693,11 +698,6 @@ class Chamber(NamedTuple):
         return self.corners[self.vertex_ids.index(point_id)]
 
 
-def _upper(coords) -> tuple:
-    """The homogeneous coordinates of an affine point, scaled to Z > 0."""
-    return coords if coords[2] > 0 else tuple(-v for v in coords)
-
-
 def _sector(slot: int, k: int) -> tuple:
     """(angle, side) of the sector from ccw slot ``slot`` to the next one.
 
@@ -723,6 +723,12 @@ def chambers(arr: Arrangement) -> tuple:
     followed by the next ray direction in the same cyclic order over all
     lines, entered from infinity.
 
+    Line signs are sampled at one point of one face only.  Every other face
+    takes its neighbour's signs across an edge, with the edge's line
+    negated: the two faces of an edge lie on opposite sides of its line and
+    on the same side of every other line, since the edge's interior meets
+    no other line, and the faces are connected through their edges.
+
     Chambers are numbered as the vertical decomposition orders them: by the
     leftmost slab they meet, then by the number of lines below them there.
 
@@ -736,101 +742,146 @@ def chambers(arr: Arrangement) -> tuple:
     return arr._walk
 
 
-def _walk(arr: Arrangement) -> tuple:
-    """The face walk of :func:`chambers`, on integers only.
+def _sampled_signs(arr: Arrangement) -> tuple:
+    """Line signs of the face on the left of half-edge (0, 0, 1), above line
+    0 and left of its first point, read at one point of that ray: the sign
+    of a_j X + b_j Y + c_j Z for each covector scaled to b_j > 0, and +1 for
+    line 0.
 
-    The slope order is the arrangement's integer ranks, and the x order of
-    the points compares X_P Z_Q with X_Q Z_P.  The side of line j at an
-    affine point (X : Y : Z) with Z > 0 is the sign of a_j X + b_j Y + c_j Z
-    for the covector scaled to b_j > 0.
+    With line 0 scaled to b > 0 and its first point P scaled to Z > 0,
+    P - Z (b, -a, 0) lies on line 0 left of P, so on no other line; a lone
+    line stands in (0 : -c : b) for P.
+    """
+    forms = [(l.a, l.b, l.c) if l.b > 0 else (-l.a, -l.b, -l.c) for l in arr.lines]
+    a, b, c = forms[0]
+    X, Y, Z = next((p.coords for p in arr.points if 0 in p.line_ids), (0, -c, b))
+    if Z < 0:
+        X, Y, Z = -X, -Y, -Z
+    X, Y = X - Z * b, Y + Z * a
+    signs = [_sign(fa * X + fb * Y + fc * Z) for fa, fb, fc in forms]
+    signs[0] = 1
+    return tuple(signs)
+
+
+def _walk(arr: Arrangement) -> tuple:
+    """The face walk of :func:`chambers`, over integer half-edge ids.
+
+    *Ids.*  With m_i points on line i, line i has 2 m_i + 2 half-edges, and
+    half-edge (i, s, d) gets id base[i] + 2s + (d < 0), base[i] the sum of
+    2 m_j + 2 over j < i; its twin, on the same segment or ray the other
+    way, is id ^ 1 (the doubly connected edge list of Muller and Preparata,
+    1978).  Each half-edge's next id, end vertex (-1 at infinity) and end
+    sector are filled once, per point from the ids of the half-edges that
+    end there, aligned with its line ids.  The points ascend in x, so the
+    s-th point met on line j ends (j, s, 1), and the leftmost point of a
+    face has its least id.  Faces are traced through a ``face_of`` array;
+    an unbounded face has one half-edge to infinity.
+
+    *Signs.*  The n integer forms are evaluated at one point of one face
+    (:func:`_sampled_signs`): the face above line 0, left of its first point.
+    Every other face takes the signs of a neighbour across a twin pair,
+    with that edge's line negated.  The two faces of an edge lie on
+    opposite sides of its line and on the same side of every other line,
+    since the edge's interior (a segment between consecutive points of its
+    line, or a ray beyond the last) meets no other line.  The face graph is
+    connected: a path between two faces can avoid the finitely many
+    vertices, so it crosses lines only in the interiors of edges.  A search
+    from the sampled face therefore gives every face its signs, and the
+    face on the left of (i, s, d) has sign d on line i.
     """
     n = arr.n
-    lines = arr.lines
     pts = arr.points
-    slope_rank = arr._ranks
-    by_slope = sorted(range(n), key=slope_rank.__getitem__)
-    on_line = [[] for _ in range(n)]  # x-sorted, as arr.points is
-    place = {}  # (line, point id) -> position on the line
+    rank = arr._ranks
+    count = [0] * n  # points on each line
     for p in pts:
         for i in p.line_ids:
-            place[i, p.index] = len(on_line[i])
-            on_line[i].append(p)
-    # the points ascend in x, so the leftmost point has the least id
+            count[i] += 1
+    base = [0] * (n + 1)
+    for i in range(n):
+        base[i + 1] = base[i] + 2 * count[i] + 2
+    size = base[n]
+    line_of = [i for i in range(n) for _ in range(2 * count[i] + 2)]
+    nxt = [0] * size
+    end = [-1] * size
+    sector = [None] * size
+    # at infinity: the 2n ray directions in ccw order, rightward by slope,
+    # then leftward, each entered from infinity; a ray out to infinity is
+    # followed by the next direction
+    by_slope = sorted(range(n), key=rank.__getitem__)
+    from_inf = [base[j] + 2 * count[j] + 1 for j in by_slope] + [base[j] for j in by_slope]
+    for i in range(n):
+        nxt[base[i] + 2 * count[i]] = from_inf[(rank[i] + 1) % (2 * n)]
+        nxt[base[i] + 1] = from_inf[(rank[i] + n + 1) % (2 * n)]
+    # at a vertex of k lines, ccw slot u < k leaves rightward along its u-th
+    # line and slot u >= k leftward along its (u - k)-th; a half-edge that
+    # arrives along the r-th line is followed by the slot clockwise of its
+    # reverse: r + k - 1 coming rightward, r - 1 (mod 2k) coming leftward
+    cursor = base[:n]  # the id of (j, s, 1), s the points met on line j so far
+    sectors = {}
+    for v, p in enumerate(pts):
+        ids = p.line_ids
+        k = len(ids)
+        at = sectors.get(k)
+        if at is None:
+            at = sectors[k] = [_sector(slot, k) for slot in range(2 * k)]
+        starts = [cursor[j] for j in ids]
+        for j in ids:
+            cursor[j] += 2
+        leave = [h + 2 for h in starts] + [h + 1 for h in starts]
+        for r, h in enumerate(starts):
+            slot = r + k - 1
+            nxt[h] = leave[slot]
+            end[h] = v
+            sector[h] = at[slot]
+            slot = r - 1 if r else 2 * k - 1
+            h += 3
+            nxt[h] = leave[slot]
+            end[h] = v
+            sector[h] = at[slot]
+
+    face_of = [-1] * size
+    faces = []
+    for h in range(size):
+        if face_of[h] < 0:
+            f = len(faces)
+            hes = []
+            while face_of[h] < 0:
+                face_of[h] = f
+                hes.append(h)
+                h = nxt[h]
+            faces.append(hes)
+
+    signs = [None] * len(faces)
+    signs[0] = _sampled_signs(arr)  # face 0 is on the left of half-edge 0
+    order = [0]
+    for f in order:
+        own = signs[f]
+        for h in faces[f]:
+            g = face_of[h ^ 1]
+            if signs[g] is None:
+                i = line_of[h]
+                signs[g] = own[:i] + (-own[i],) + own[i + 1:]
+                order.append(g)
+
+    # chambers that meet the leftmost slab: the faces of the left rays
+    left = {face_of[base[i] + d] for i in range(n) for d in (0, 1)}
     x_rank = [0]
     for (X, _Y, Z), (X2, _Y2, Z2) in zip((p.coords for p in pts), (p.coords for p in pts[1:])):
         x_rank.append(x_rank[-1] + (X * Z2 != X2 * Z))
-    forms = [(l.a, l.b, l.c) if l.b > 0 else (-l.a, -l.b, -l.c) for l in lines]
-
-    def step(he):
-        """The next half-edge of the face, and (vertex, slot) where it starts."""
-        i, s, d = he
-        t = s if d > 0 else s - 1
-        if not 0 <= t < len(on_line[i]):
-            g = (slope_rank[i] + (0 if d > 0 else n) + 1) % (2 * n)
-            j = by_slope[g % n]
-            return ((j, len(on_line[j]), -1) if g < n else (j, 0, 1)), None
-        p = on_line[i][t]
-        k = len(p.line_ids)
-        slot = (p.line_ids.index(i) + (k if d > 0 else 0) - 1) % (2 * k)
-        j = p.line_ids[slot % k]
-        pos = place[j, p.index]
-        return ((j, pos + 1, 1) if slot < k else (j, pos, -1)), (p, slot)
-
-    def signs_at(he):
-        """Line signs of the face on the left of a half-edge, read on it.
-
-        A segment PQ is read at |Z_Q| P + |Z_P| Q, its midpoint; a ray from P
-        at P +- Z_P (b_i, -a_i, 0).
-        """
-        i, s, d = he
-        on = on_line[i]
-        if 0 < s < len(on):
-            P, Q = _upper(on[s - 1].coords), _upper(on[s].coords)
-            X, Y, Z = (Q[2] * u + P[2] * v for u, v in zip(P, Q))
-        elif on:
-            a, b, _c = forms[i]
-            X, Y, Z = _upper(on[0].coords if s == 0 else on[-1].coords)
-            t = -Z if s == 0 else Z
-            X, Y = X + t * b, Y - t * a
-        else:  # a lone line: its point at x = 0
-            X, Y, Z = 0, -forms[i][2], forms[i][1]
-        signs = [(v > 0) - (v < 0) for v in [a * X + b * Y + c * Z for a, b, c in forms]]
-        signs[i] = d
-        return tuple(signs)
-
-    seen = set()
-    faces = []
-    for i in range(n):
-        for s in range(len(on_line[i]) + 1):
-            for d in (1, -1):
-                he = (i, s, d)
-                hes, ends = [], []  # the half-edges, and (vertex, slot) at the end of each or None
-                while he not in seen:
-                    seen.add(he)
-                    hes.append(he)
-                    he, end = step(he)
-                    ends.append(end)
-                if not hes:
-                    continue
-                bounded = None not in ends
-                if bounded:  # start with the half-edge into the leftmost vertex
-                    ids = [p.index for p, _slot in ends]
-                    first = ids.index(min(ids))
-                else:  # start with the half-edge from infinity
-                    first = (ends.index(None) + 1) % len(ends)
-                ends = [end for end in ends[first:] + ends[:first] if end is not None]
-                signs = signs_at(hes[first])
-                if any(he[1] == 0 for he in hes):
-                    slab = 0  # the face meets the leftmost slab
-                else:
-                    slab = 1 + x_rank[min(p.index for p, _slot in ends)]
-                faces.append((
-                    (slab, signs.count(1)),
-                    signs,
-                    bounded,
-                    tuple(p.index for p, _slot in ends),
-                    len(hes),
-                    tuple(_sector(slot, len(p.line_ids)) for p, slot in ends),
-                ))
-    faces.sort(key=lambda f: f[0])
-    return tuple(Chamber(idx, *f[1:]) for idx, f in enumerate(faces))
+    keys, rows = [], []
+    for f, hes in enumerate(faces):
+        ends = list(map(end.__getitem__, hes))
+        corners = list(map(sector.__getitem__, hes))
+        bounded = -1 not in ends
+        if bounded:  # start with the half-edge into the leftmost vertex
+            first = ends.index(min(ends))
+            vertex_ids = ends[first:] + ends[:first]
+            corners = corners[first:] + corners[:first]
+        else:  # start with the half-edge from infinity, and drop the one to it
+            first = ends.index(-1) + 1
+            vertex_ids = ends[first:] + ends[:first - 1]
+            corners = corners[first:] + corners[:first - 1]
+        own = signs[f]
+        keys.append((0 if f in left else 1 + x_rank[min(vertex_ids)], own.count(1)))
+        rows.append((own, bounded, tuple(vertex_ids), len(hes), tuple(corners)))
+    return tuple(Chamber(idx, *rows[f]) for idx, f in enumerate(sorted(range(len(rows)), key=keys.__getitem__)))

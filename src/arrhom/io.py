@@ -5,6 +5,10 @@ triples for a*x + b*y + c*z = 0, each entry an integer or a rational string
 like "3/2" (floats are rejected in exact mode); ``local_system`` carries
 either ``order`` with integer ``exponents`` or float ``values`` as [re, im]
 pairs.  Rationals are serialized back as strings so nothing is lost.
+Integers, and strings that are the decimal text of one, are parsed as ints,
+so an integer input reaches the lines' integer scaling without a
+``Fraction``; a report's point coordinates are printed from the points'
+integer triples.
 
 Reports are plain dicts; serialized with sorted keys they are byte-stable
 for a fixed input and seed.  :func:`report_to_json` writes exactly the text
@@ -63,11 +67,20 @@ def _too_large(literal: str) -> bool:
     return len(literal) > _MAX_LITERAL or (exponent.isdecimal() and int(exponent) > MAX_DIGITS)
 
 
-def parse_rational(value, where: str) -> Fraction:
+def _is_int_text(text: str) -> bool:
+    """Whether ``text`` is the decimal text ``str`` writes for an int: ASCII
+    digits with an optional minus, no leading zero, no ``-0``."""
+    digits = text[1:] if text[:1] == "-" else text
+    return digits.isascii() and digits.isdecimal() and (digits[0] != "0" or text == "0")
+
+
+def parse_rational(value, where: str):
+    """A rational coefficient: an ``int`` for a JSON integer or the decimal
+    text of one, a ``Fraction`` for any other accepted literal."""
     if isinstance(value, bool):
         raise ParseError("expected a rational number, got a boolean", where)
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, float):
         raise ParseError(
             "float coefficients are not accepted in exact mode; use a string like '3/2'",
@@ -77,6 +90,8 @@ def parse_rational(value, where: str) -> Fraction:
         if _too_large(value):
             msg = f"rational literal longer than {_MAX_LITERAL} characters or with an exponent beyond {MAX_DIGITS}"
             raise ParseError(msg, where)
+        if _is_int_text(value):
+            return int(value)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -97,9 +112,20 @@ def _parse_float(value, where: str) -> float:
     return out
 
 
-def rational_str(q: Fraction) -> str:
+def _ratio_str(num: int, den: int) -> str:
+    """num / den in lowest terms with den > 0, as "num" or "num/den"."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def rational_str(q) -> str:
+    if type(q) is int:
+        return str(q)
     q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return _ratio_str(q.numerator, q.denominator)
 
 
 def parse_instance(text: str):
@@ -177,23 +203,25 @@ def dump_instance(arr: Arrangement, system: LocalSystem) -> dict:
 
 
 def _record_dict(record) -> dict:
+    l_inf = record.l_inf
     return {
         "matrix": [[rational_str(v) for v in row] for row in record.matrix],
         "seed": record.seed,
         "profile": "basic",
-        "l_inf": [record.l_inf.a, record.l_inf.b, record.l_inf.c],
+        "l_inf": [l_inf.a, l_inf.b, l_inf.c],
     }
 
 
 def _point_dict(p, resonant) -> dict:
     """A point of the basic frame, which has no point at infinity."""
+    X, Y, Z = p.coords
     return {
         "id": p.index,
         "lines": list(p.line_ids),
         "multiplicity": p.multiplicity,
         "resonant": p.index in resonant,
-        "x": rational_str(p.x),
-        "y": rational_str(p.y),
+        "x": _ratio_str(X, Z),
+        "y": _ratio_str(Y, Z),
     }
 
 

@@ -3,12 +3,19 @@
 They check frames from outside the program: the incidence poset that every
 frame must keep, the product and inverse of normalization maps, a line's
 defining form and points, whether it is vertical, the lines bounding an angle,
-and the per-pair form of the sharp-pair test.
+and the per-pair form of the sharp-pair test; and the triangular grids that
+several tests walk and print.
 """
 
 from fractions import Fraction
 
-from arrhom.geometry import _adjugate, _sign, mat_det
+from arrhom.geometry import Arrangement, Line, _adjugate, _sign, mat_det
+
+
+def triangular_grid(a: int) -> Arrangement:
+    """The 4a - 3 lines x = i, y = j (0 <= i, j < a) and x + y = c (1 <= c <= 2a - 3)."""
+    lines = [(1, 0, -i) for i in range(a)] + [(0, 1, -j) for j in range(a)] + [(1, 1, -c) for c in range(1, 2 * a - 2)]
+    return Arrangement([Line.from_coeffs(*l) for l in lines])
 
 
 def incidence_signature(arr):

@@ -82,9 +82,17 @@ def quad_file(tmp_path):
 def test_one_report_computes_each_fact_once(calls, quad_file, capsys, monkeypatch):
     _track(monkeypatch, calls, "transform", geometry, "transform")
     _track(monkeypatch, calls, "walk", geometry, "_walk")
+    _track(monkeypatch, calls, "sampled_signs", geometry, "_sampled_signs")
     assert main(["h1", quad_file, "--no-oracle"]) == 0
     assert calls == {
-        "h1": 1, "chambers": 1, "walk": 1, "normalize": 1, "transform": 1, "sharp_pairs": 1, "intersections": 1
+        "h1": 1,
+        "chambers": 1,
+        "walk": 1,
+        "sampled_signs": 1,
+        "normalize": 1,
+        "transform": 1,
+        "sharp_pairs": 1,
+        "intersections": 1,
     }
 
 
@@ -244,9 +252,11 @@ def test_normalize_transforms_only_the_accepted_candidate(monkeypatch):
 
 def test_trial_walks_each_distinct_frame_once(monkeypatch):
     # the exact and the float h1 share the basic frame and its walk; the
-    # reseeded frame is the input itself when the input is normalized
+    # reseeded frame is the input itself when the input is normalized; a
+    # walk evaluates the line forms at one point and propagates the signs
     walks, frames = Counter(), set()
     _track(monkeypatch, walks, "walk", geometry, "_walk")
+    _track(monkeypatch, walks, "sampled_signs", geometry, "_sampled_signs")
     real = geometry.chambers
 
     def recording(arr):
@@ -262,6 +272,7 @@ def test_trial_walks_each_distinct_frame_once(monkeypatch):
         result = run_trial(arr, inst.system, seed=i, all_decones=arr.n <= 5, with_certificate=True, extra_seeds=1)
         assert result.ok, result.violations
         assert walks["walk"] == len(frames) == (1 if arr.is_normalized else 2), i
+        assert walks["sampled_signs"] == walks["walk"], i
         normalized += arr.is_normalized
     assert 0 < normalized < 30
 
@@ -387,15 +398,20 @@ def test_relation_rows_reach_rank_exact_as_built(monkeypatch, tmp_path, capsys):
     assert entries[0] == sum(len(r.coeffs) for r in rep.rows) < rep.num_rows * rep.dim_A
 
 
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_every_name_the_benchmark_tracer_wraps_resolves():
     # perfbench/tracer.py wraps functions by dotted name, resolved as
     # Tracer.install does: the module arrhom.<first part>, then getattr for
     # each further part; a deleted or renamed function must fail here, not
     # only in a traced benchmark run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_tracer()
     assert tracer.SPANNED and tracer.COUNTED
     for name in tracer.SPANNED + tracer.COUNTED:
         mod_name, *parts = name.split(".")
@@ -404,3 +420,18 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
             assert hasattr(owner, attr), name
             owner = getattr(owner, attr)
         assert callable(owner), name
+
+
+def test_the_benchmark_tracer_counts_cyclo_inverse(quad_file, capsys):
+    # the battery corpus never divides by a partial product, so the counted
+    # CycloNumber.inverse is checked here: the order-3 quadrilateral's
+    # certificates divide at resonant neighbour points
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert main(["bounds", quad_file]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.calls["cyclo.CycloNumber.inverse"] > 0
+    assert tracer.calls["bounds.beta_certificate"] == 6
