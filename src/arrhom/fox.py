@@ -19,9 +19,10 @@ taken bottom to top, which is the order a small shear would give them (see
 Evaluating the Fox derivatives of the relators under the monodromy
 representation gives the twisted chain complex of the presentation complex;
 its first homology dimension is (g - 1) - rank(d2) whenever some monodromy
-value differs from 1.  For an exact local system every prefix of a relator
-evaluates to a power of zeta_d, so a row of d2 is a map from generator to
-integer exponent map, handed as built to the certified modular rank
+value differs from 1.  The rows of d2 come from one Fox vector per wire,
+with no relator spelled out as a word (:func:`presentation`).  For an exact
+local system a row maps each generator to an integer exponent map, handed
+as built to the certified modular rank
 (:func:`arrhom.cyclo.rank_exponent_maps`).  The computation never touches
 the angle/chamber machinery, so it serves as an independent cross-check.
 """
@@ -33,7 +34,7 @@ from math import gcd, lcm
 
 from .cyclo import rank_exponent_maps, rank_float
 from .errors import InvariantError
-from .geometry import Arrangement, Line, _primitive
+from .geometry import Arrangement, Line, _check_incidences, _primitive
 from .local_system import LocalSystem
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "GroupPresentation",
     "WiringDiagram",
     "decone",
-    "fox_complex",
     "oracle_h1",
     "presentation",
     "wiring_diagram",
@@ -100,10 +100,11 @@ def decone(arr: Arrangement, system: LocalSystem, line_id: int) -> DeconedArrang
     Only the points off w are mapped, with Z > 0, and they are ordered by
     the integers D (X/Z, Y/Z), D the lcm of their Z.  The chart is checked
     as :func:`arrhom.geometry.transform` checks a frame, by integer
-    evaluation: every mapped point lies on exactly its own lines and no two
-    coincide.  No line is vertical, and for an exact local system the
-    exponents of the remaining lines sum to minus the removed line's mod d,
-    the monodromy m(w)^-1 around infinity.  A failure raises InvariantError.
+    evaluation: every mapped point lies on exactly its own lines, not on
+    the removed line Z = 0, and no two coincide.  No line is vertical, and
+    for an exact local system the exponents of the remaining lines sum to
+    minus the removed line's mod d, the monodromy m(w)^-1 around infinity.
+    A failure raises InvariantError.
     A line id outside 0..n-1 raises IndexError.
     """
     n = arr.n
@@ -136,13 +137,9 @@ def decone(arr: Arrangement, system: LocalSystem, line_id: int) -> DeconedArrang
         if Z < 0:
             g = -g
         X, Y, Z = X // g, Y // g, Z // g
-        wires = tuple(sorted(m - (m > line_id) for m in ids))
-        on = tuple(pos for pos, (a, b, c) in enumerate(forms) if a * X + b * Y + c * Z == 0)
-        if not Z or on != wires:
-            raise InvariantError(f"mapped point {(X, Y, Z)} lies on lines {list(on)}, not {list(wires)}")
-        crossings.append(((X, Y, Z), wires))
-    if len({P for P, _wires in crossings}) != len(crossings):
-        raise InvariantError("two mapped intersection points coincide")
+        crossings.append(((X, Y, Z), tuple(sorted(m - (m > line_id) for m in ids))))
+    # the removed line is Z = 0, the last form: no crossing may lie on it
+    _check_incidences(forms + [(0, 0, 1)], crossings)
     Dz = lcm(*(Z for (_X, _Y, Z), _wires in crossings))
     crossings.sort(key=lambda c: (c[0][0] * (Dz // c[0][2]), c[0][1] * (Dz // c[0][2])))
 
@@ -215,114 +212,110 @@ def wiring_diagram(dec: DeconedArrangement) -> WiringDiagram:
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    """Generators (one per affine line) and sweep relators.
+    """The sweep presentation under the monodromy: one generator per affine
+    line, and per relator its row of d2.
 
-    Words are tuples of nonzero integers: +-(i+1) stands for the i-th
-    generator or its inverse.  Every relator is a commutator of the local
-    product with a local meridian, so the abelianization is free of rank
-    ``len(generators)``.
+    A row maps a generator to the relator's Fox derivative there, evaluated
+    at the monodromy: an exponent map ``{k: c}`` with nonzero int
+    coefficients for an exact chart, a complex number for a float one.  An
+    absent generator is zero.
     """
 
     generators: tuple
     relators: tuple
 
 
-def _w_inv(w):
-    return tuple(-c for c in reversed(w))
+def _add_exact(out, a, b, vec, d):
+    """out += (zeta^a - zeta^b) vec, or zeta^a vec when b is None, for
+    exponents in 0..d-1, on flat keys g*d + k for the term zeta^k at
+    generator g."""
+    get = out.get
+    la = d - a
+    if b is None:
+        for key, c in vec.items():
+            key += a if key % d < la else a - d
+            out[key] = get(key, 0) + c
+        return
+    lb = d - b
+    for key, c in vec.items():
+        k = key % d
+        ka = key + a if k < la else key + a - d
+        out[ka] = get(ka, 0) + c
+        kb = key + b if k < lb else key + b - d
+        out[kb] = get(kb, 0) - c
 
 
-def _w_mul(*words):
-    out = []
-    for w in words:
-        for c in w:
-            if out and out[-1] == -c:
-                out.pop()
-            else:
-                out.append(c)
-    return tuple(out)
+def _add_float(out, a, b, vec, _d):
+    """out += (a - b) vec, or a vec when b is None, keyed by generator."""
+    f = a if b is None else a - b
+    get = out.get
+    for g, c in vec.items():
+        out[g] = get(g, 0j) + f * c
+
+
+def _exponent_maps(flat, d):
+    """A flat exact vector as ``{g: {k: c}}``, zero coefficients dropped."""
+    row = {}
+    for key, c in flat.items():
+        if c:
+            g, k = divmod(key, d)
+            row.setdefault(g, {})[k] = c
+    return row
 
 
 def presentation(dec: DeconedArrangement) -> GroupPresentation:
-    """The sweep's relators, from the meridian word of each wire.
+    """The sweep's relators as rows of d2, from one Fox vector per wire.
 
-    At a crossing the wires reverse: each wire but the top one ends up above
-    the wires that were over it, so its word is conjugated by the product
-    of their words.  Those suffix products are built once, top down, each
-    from the one above it; free reduction is unique, so they are the words
-    that multiplying each suffix from scratch gives.
+    At a crossing the word w of each wire but the top one becomes S^-1 w S,
+    S the product of the words above it, and gives the relator
+    P w P^-1 w^-1, P the product of all of them.  No word is built: phi,
+    sending generator j to line j's monodromy, is a ring map into the group
+    ring Z[C_d] (C for a float chart) that keeps each wire's value, so the
+    sweep carries per wire only F_w = (phi(dw/dx_j))_j.  By d(uv) = du + u dv
+    (the Gassner-style identity of Cohen and Suciu, Comment. Math. Helv. 72,
+    1997):
+
+    - suffix products, top down: F_uv = F_u + phi(u) F_v;
+    - new words: F_{S^-1 w S} = phi(S)^-1 (F_w + (phi(w) - 1) F_S);
+    - rows: (1 - phi(w)) F_P + (phi(P) - 1) F_w.
+
+    Each coefficient is a unit or a difference of two; the modes differ in
+    the primitive that adds one times a vector, and in how units multiply.
+    Z[C_d] is free on the powers of zeta, so an exact entry with its zero
+    coefficients dropped is the exponent map that the relator's word, read
+    letter by letter, gives: equal as a map, not only modulo Phi_d.  While
+    built, an exact vector keys c zeta^k at generator g as g*d + k.  Rows
+    come in sweep order: event by event, bottom to top.
     """
-    wd = wiring_diagram(dec)
-    m = len(dec.lines)
-    words = [(wire + 1,) for wire in range(m)]
-    relators = []
-    for _x, _lo, wires in wd.events:
-        local = [words[w] for w in wires]  # bottom to top
-        conj = ()
-        for j in range(len(wires) - 2, -1, -1):
-            conj = _w_mul(local[j + 1], conj)  # local[j+1] ... local[-1]
-            words[wires[j]] = _w_mul(_w_inv(conj), local[j], conj)
-        prod = _w_mul(local[0], conj)
-        prod_inv = _w_inv(prod)
-        for w in local[:-1]:
-            relators.append(_w_mul(prod, w, prod_inv, _w_inv(w)))
-    return GroupPresentation(tuple(range(m)), tuple(relators))
-
-
-def _fox_row_float(word, mon, mon_inv):
-    """Monodromy-evaluated Fox derivatives of one word, float values, by generator."""
-    row = {}
-    pref = complex(1.0)
-    for c in word:
-        i = abs(c) - 1
-        if c > 0:
-            row[i] = row.get(i, 0j) + pref
-            pref = pref * mon[i]
-        else:
-            pref = pref * mon_inv[i]
-            row[i] = row.get(i, 0j) - pref
-    return row
-
-
-def _fox_row(word, exps, d):
-    """Fox derivatives of one word under x_i -> zeta_d^exps[i], by generator,
-    as exponent maps ``{k: c}`` with int coefficients.
-
-    Every prefix of the word evaluates to a monomial zeta^e, so each letter
-    adds +1 or -1 at one exponent of one entry.  A map may end up empty.
-    """
-    row = {}  # generator -> exponent map
-    e = 0
-    for c in word:
-        i = abs(c) - 1
-        if c < 0:
-            e = (e - exps[i]) % d
-        entry = row.setdefault(i, {})
-        v = entry.get(e, 0) + (1 if c > 0 else -1)
-        if v:
-            entry[e] = v
-        else:
-            del entry[e]
-        if c > 0:
-            e = (e + exps[i]) % d
-    return row
-
-
-def fox_complex(pres: GroupPresentation, dec: DeconedArrangement):
-    """The twisted two-term complex (d2, d1) of the presentation complex;
-    a row of d2 maps the generators in its relator to their derivatives.
-
-    For an exact chart the entries are exponent maps, zeta^k - 1 being
-    ``{0: -1, k: 1}``; for a float chart they are complex numbers.
-    """
-    mon = dec.monodromy
-    if dec.order is not None:
-        d2 = [_fox_row(w, mon, dec.order) for w in pres.relators]
-        d1 = [{0: -1, k: 1} if k else {} for k in mon]
+    m, d = len(dec.lines), dec.order
+    if d is None:
+        one, add, mul, inv = complex(1.0), _add_float, complex.__mul__, lambda u: 1.0 / u
+        vecs = [{w: one} for w in range(m)]
     else:
-        mon_inv = [1.0 / v for v in mon]
-        d2 = [_fox_row_float(w, mon, mon_inv) for w in pres.relators]
-        d1 = [v - complex(1.0) for v in mon]
-    return d2, d1
+        one, add, mul, inv = 0, _add_exact, lambda u, v: (u + v) % d, lambda u: -u % d
+        vecs = [{w * d: 1} for w in range(m)]
+    units = dec.monodromy  # phi of each wire's word
+    rows = []
+    for _P, _lo, wires in wiring_diagram(dec).events:
+        local = [vecs[w] for w in wires]  # bottom to top, before the crossing
+        phi_s, f_s = one, {}  # the product of the words above position j
+        for j in range(len(wires) - 1, -1, -1):
+            u = units[wires[j]]
+            if j < len(wires) - 1:
+                s_inv, conj = inv(phi_s), {}
+                add(conj, s_inv, None, local[j], d)
+                add(conj, mul(u, s_inv), s_inv, f_s, d)
+                vecs[wires[j]] = conj
+            f = dict(local[j])
+            add(f, u, None, f_s, d)
+            phi_s, f_s = mul(u, phi_s), f
+        # phi_s, f_s now belong to P
+        for w, f_w in zip(wires[:-1], local):
+            row = {}
+            add(row, one, units[w], f_s, d)
+            add(row, phi_s, one, f_w, d)
+            rows.append(row if d is None else _exponent_maps(row, d))
+    return GroupPresentation(tuple(range(m)), tuple(rows))
 
 
 def oracle_h1(arr: Arrangement, system: LocalSystem, line_id: int = 0, seed: int = 0) -> int:
@@ -340,9 +333,8 @@ def oracle_h1(arr: Arrangement, system: LocalSystem, line_id: int = 0, seed: int
     g = len(pres.generators)
     if not pres.relators:
         return g - 1
-    d2, _d1 = fox_complex(pres, dec)
     # the fundamental formula of Fox calculus gives d2 d1 = 0, and d1 != 0
     # since every monodromy is nontrivial, so rank(d2) <= g - 1
     if dec.order is None:
-        return (g - 1) - rank_float(d2)
-    return (g - 1) - rank_exponent_maps(d2, dec.order, upper=g - 1)
+        return (g - 1) - rank_float(pres.relators)
+    return (g - 1) - rank_exponent_maps(pres.relators, dec.order, upper=g - 1)

@@ -194,6 +194,18 @@ def _slope_ranks(lines):
     return tuple(ranks)
 
 
+def _check_incidences(forms, groups) -> None:
+    """Each mapped (coords, line ids) lies on exactly the forms (a, b, c)
+    its ids name, by integer evaluation, and no two coincide; a failure is a
+    fault in the map, not in the input, and raises InvariantError."""
+    for (X, Y, Z), ids in groups:
+        on = tuple(i for i, (a, b, c) in enumerate(forms) if a * X + b * Y + c * Z == 0)
+        if on != tuple(sorted(ids)):
+            raise InvariantError(f"mapped point {(X, Y, Z)} lies on lines {list(on)}, not {sorted(ids)}")
+    if len({coords for coords, _ids in groups}) != len(groups):
+        raise InvariantError("two mapped intersection points coincide")
+
+
 def _figure(lines, ranks, groups, check=False) -> list:
     """Intersection points from (coords, line ids) pairs, in one pass.
 
@@ -203,20 +215,12 @@ def _figure(lines, ranks, groups, check=False) -> list:
     slope order (``ranks``) when the figure is normalized, in index order
     otherwise.
 
-    With ``check``, every line is evaluated at every point: each point must
-    lie on exactly its own lines, and no two points may coincide; a failure
-    is a fault in the frame change, not in the input, and raises
-    InvariantError.
+    With ``check``, the points are checked against the lines by
+    :func:`_check_incidences`.
     """
     groups = list(groups)
     if check:
-        forms = [(l.a, l.b, l.c) for l in lines]
-        for (X, Y, Z), ids in groups:
-            on = tuple(i for i, (a, b, c) in enumerate(forms) if a * X + b * Y + c * Z == 0)
-            if on != tuple(sorted(ids)):
-                raise InvariantError(f"mapped point {(X, Y, Z)} lies on lines {list(on)}, not {sorted(ids)}")
-        if len({coords for coords, _ids in groups}) != len(groups):
-            raise InvariantError("two mapped intersection points coincide")
+        _check_incidences([(l.a, l.b, l.c) for l in lines], groups)
     D = lcm(*(Z for (_X, _Y, Z), _ids in groups if Z))
 
     def key(group):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,11 +7,13 @@ import pytest
 
 from arrhom.cyclo import CycloNumber
 from arrhom.geometry import Arrangement, Line, intersections
-from arrhom.fox import _w_inv, _w_mul, decone, fox_complex, oracle_h1, presentation, wiring_diagram
-from arrhom.fuzz import corpus
+from arrhom.cyclo import rank_float
+from arrhom.fox import decone, oracle_h1, presentation, wiring_diagram
+from arrhom.fuzz import corpus, sharp_corpus
 from arrhom.homology import h1
 from arrhom.local_system import LocalSystem
 from conftest import pencil
+from fox_reference import reference_rows, relator_words
 from frame_helpers import incidence_signature, is_vertical
 
 
@@ -74,32 +77,6 @@ def test_wiring_diagram_counts(quadrilateral, quadrilateral_system):
         assert sorted(p.multiplicity for p in off_removed) == mults
 
 
-def test_presentation_relator_census(quadrilateral, quadrilateral_system):
-    dec = decone(quadrilateral, quadrilateral_system, 0)
-    pres = presentation(dec)
-    wd = wiring_diagram(dec)
-    assert len(pres.relators) == sum(len(ws) - 1 for _x, _lo, ws in wd.events)
-    # commutator relators abelianize to zero, so H_1 of the group is free of
-    # rank equal to the generator count
-    for rel in pres.relators:
-        exps = [0] * len(pres.generators)
-        for c in rel:
-            exps[abs(c) - 1] += 1 if c > 0 else -1
-        assert all(e == 0 for e in exps)
-
-
-def test_fox_fundamental_identity(quadrilateral, quadrilateral_system):
-    dec = decone(quadrilateral, quadrilateral_system, 2)
-    pres = presentation(dec)
-    d2, d1 = fox_complex(pres, dec)
-    zero = CycloNumber.zero(3)
-    for row in d2:
-        acc = zero
-        for j, v in row.items():
-            acc = acc + CycloNumber.from_terms(3, v) * CycloNumber.from_terms(3, d1[j])
-        assert acc.is_zero
-
-
 def test_oracle_quadrilateral(quadrilateral, quadrilateral_system):
     assert oracle_h1(quadrilateral, quadrilateral_system) == 1
 
@@ -146,39 +123,68 @@ def _grid(a):
     return Arrangement([Line.from_coeffs(*l) for l in lines]), LocalSystem(order=3, exponents=exponents)
 
 
-def _reference_relators(dec):
-    """The sweep's relators with every suffix product and every inverse
-    taken from scratch, as the words were first built."""
-    words = [(wire + 1,) for wire in range(len(dec.lines))]
-    relators = []
-    for _x, _lo, wires in wiring_diagram(dec).events:
-        local = [words[w] for w in wires]
-        prod = _w_mul(*local)
-        for j in range(len(wires) - 1):
-            relators.append(_w_mul(prod, local[j], _w_inv(prod), _w_inv(local[j])))
-        for j, wire in enumerate(wires):
-            suffix = local[j + 1 :]
-            if suffix:
-                conj = _w_mul(*suffix)
-                words[wire] = _w_mul(_w_inv(conj), words[wire], conj)
-    return tuple(relators)
+CHARTS = {
+    "corpus-20240810": lambda: [(i.arrangement, i.system, None) for i in corpus(20240810, 150)],
+    "corpus-7": lambda: [(i.arrangement, i.system, None) for i in corpus(7, 150)],
+    "sharp-3": lambda: [(i.arrangement, i.system, None) for i in sharp_corpus(3, 100)],
+    "grids-9-17": lambda: [(*_grid(3), None), (*_grid(5), None)],
+    "grid-33-line-0": lambda: [(*_grid(9), [0])],
+}
 
 
-@pytest.mark.parametrize("name", ["corpus-20240810", "grids-9-17"])
-def test_presentation_matches_suffix_products_from_scratch(name):
-    instances = {
-        "corpus-20240810": lambda: [(i.arrangement, i.system) for i in corpus(20240810, 100)],
-        "grids-9-17": lambda: [_grid(3), _grid(5)],
-    }[name]()
+@pytest.mark.parametrize("name", CHARTS)
+def test_presentation_rows_equal_the_word_path(name):
+    # the rows of d2 from per-wire Fox vectors are the Fox derivatives of
+    # the relator words, evaluated letter by letter: equal as exponent maps
+    # for an exact chart, and to rounding, with the same float rank, for
+    # the float chart of the same monodromy
     charts = 0
-    for arr, system in instances:
-        for line_id in range(arr.n):
+    for arr, system, line_ids in CHARTS[name]():
+        for line_id in range(arr.n) if line_ids is None else line_ids:
             dec = decone(arr, system, line_id)
             pres = presentation(dec)
-            assert pres.relators == _reference_relators(dec), (name, arr.lines, line_id)
+            assert list(pres.relators) == reference_rows(dec), (name, arr.lines, line_id)
             assert pres.generators == tuple(range(len(dec.lines)))
+            events = wiring_diagram(dec).events
+            assert len(pres.relators) == sum(len(ws) - 1 for _x, _lo, ws in events)
+            # the words are commutators: they abelianize to zero
+            for word in relator_words(dec):
+                exps = Counter()
+                for c in word:
+                    exps[abs(c)] += 1 if c > 0 else -1
+                assert not any(exps.values())
+            fdec = decone(arr, system.to_float(), line_id)
+            rows, ref = presentation(fdec).relators, reference_rows(fdec)
+            assert len(rows) == len(ref)
+            for row, ref_row in zip(rows, ref):
+                assert all(abs(row.get(g, 0j) - ref_row.get(g, 0j)) <= 1e-12 for g in row.keys() | ref_row.keys())
+            assert rank_float(rows) == rank_float(ref)
             charts += 1
-    assert charts >= {"corpus-20240810": 500, "grids-9-17": 26}[name]
+    assert charts == {"corpus-20240810": 817, "corpus-7": 819, "sharp-3": 558, "grids-9-17": 26, "grid-33-line-0": 1}[name]
+
+
+@pytest.mark.parametrize("name", ["quadrilateral", "grid-9"])
+def test_fox_fundamental_identity(name, quadrilateral, quadrilateral_system):
+    # sum_j (dr/dx_j)(x_j - 1) = r - 1, and phi(r) = 1: each row of d2 times
+    # d1 = (phi(x_j) - 1)_j vanishes.  For an exact chart it vanishes in
+    # the group ring Z[C_d], coefficient by coefficient
+    arr, system = {"quadrilateral": (quadrilateral, quadrilateral_system), "grid-9": _grid(3)}[name]
+    for line_id in range(arr.n):
+        dec = decone(arr, system, line_id)
+        d, exps = dec.order, dec.monodromy
+        rows = presentation(dec).relators
+        assert rows
+        for row in rows:
+            acc = [0] * d
+            for j, t in row.items():
+                for k, c in t.items():
+                    acc[(k + exps[j]) % d] += c
+                    acc[k] -= c
+            assert acc == [0] * d
+        fdec = decone(arr, system.to_float(), line_id)
+        for row in presentation(fdec).relators:
+            scale = max((abs(x) for x in row.values()), default=0.0)
+            assert abs(sum(x * (fdec.monodromy[j] - 1) for j, x in row.items())) <= 1e-9 * scale
 
 
 def test_grid_charts_sweep_shared_abscissas_as_a_small_shear_would():

@@ -292,13 +292,16 @@ def test_one_certificate_runs_at_most_three_ranks(monkeypatch, quadrilateral, qu
 
 def test_oracle_maps_one_chart_and_intersects_nothing(calls, monkeypatch, generic_triangle):
     # the chart is one integer map of the input's points: no frame is
-    # transformed, nothing is intersected, no CycloNumber is built, and the
-    # Fox rows go to the certified core without rank_exact's checks
+    # transformed, nothing is intersected, no CycloNumber is built, one
+    # sweep of one wiring diagram builds the Fox rows, and they go to the
+    # certified core without rank_exact's checks
     work = Counter()
     for name, owner, attr in (
         ("transform", geometry, "transform"),
         ("rank_exact", cyclo, "rank_exact"),
         ("rank_exponent_maps", cyclo, "rank_exponent_maps"),
+        ("presentation", fox, "presentation"),
+        ("wiring_diagram", fox, "wiring_diagram"),
     ):
         _track(monkeypatch, work, name, owner, attr)
     real_from_terms = CycloNumber.from_terms
@@ -315,14 +318,14 @@ def test_oracle_maps_one_chart_and_intersects_nothing(calls, monkeypatch, generi
     for lid in range(grid.n):  # every grid chart has a vertical line before its shear
         work.clear()
         assert fox.oracle_h1(grid, grid_system, lid) == 1
-        assert work == {"rank_exponent_maps": 1}
+        assert work == {"presentation": 1, "wiring_diagram": 1, "rank_exponent_maps": 1}
     # decone the triangle y = 0, y = x - 2, y = 3 - x along y = x - 2: the
     # chart (X : Y : X - Y - 2Z) has the lines y = 0 and -x + 5y + 3 = 0,
     # neither vertical, so no shear is composed into the map
     ls = LocalSystem(order=3, exponents=[1, 1, 1])
     work.clear()
     assert fox.oracle_h1(generic_triangle, ls, 1) == 0
-    assert work == {"rank_exponent_maps": 1}
+    assert work == {"presentation": 1, "wiring_diagram": 1, "rank_exponent_maps": 1}
     assert fox.decone(generic_triangle, ls, 1).lines == (Line(0, 1, 0), Line.from_coeffs(-1, 5, 3))
     assert calls["intersections"] == 0
     # the counters see each kind of work
@@ -344,7 +347,7 @@ def test_grid_report_does_no_power_basis_reduction_on_the_hot_path(monkeypatch, 
 
     monkeypatch.setattr(cyclo, "_power_basis", counting)
     for owner, attr in (
-        (fox, "_fox_row"),
+        (fox, "presentation"),
         (homology, "relation_matrix"),
         (cyclo, "rank_exact"),
         (cyclo, "rank_exponent_maps"),
@@ -365,7 +368,7 @@ def test_grid_report_does_no_power_basis_reduction_on_the_hot_path(monkeypatch, 
     path.write_text(json.dumps({"lines": GRID_LINES, "local_system": {"order": 3, "exponents": [1] * 9}}))
     assert main(["h1", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["h1"] == 1
-    assert entered["_fox_row"] > 0 and entered["relation_matrix"] == 1
+    assert entered["presentation"] == 1 and entered["relation_matrix"] == 1
     # K through rank_exact's checks, the Fox oracle's d2 straight to the core
     assert entered["rank_exact"] == 1 and entered["rank_exponent_maps"] == 2
     assert set(reductions) <= {"elsewhere"}
