@@ -38,12 +38,19 @@ from .geometry import normalize, sharp_pairs
 from .io import build_report, dump_instance, parse_instance, report_to_json
 from .render import render_svg
 
-__all__ = ["MAX_TRIALS", "main"]
+__all__ = ["MAX_LINES", "MAX_SHARP_LINES", "MAX_TRIALS", "main"]
 
 # The corpus and every trial's payload are built before the first trial
 # runs: 2000 trials took 2.1 s and 8.6 MB, so this bound keeps that under
 # about 10 s and 43 MB.
 MAX_TRIALS = 10000
+
+# The corpus generators draw distinct values from finite sets, and would
+# draw forever past their size: a pencil's slopes are the 19 fractions p/q
+# with |p| <= 4 and q <= 3, and the sharp corpus's conic tangents the 17
+# with |p| <= 5 and q <= 2.  So --lines and --max-lines stop there.
+MAX_LINES = 19
+MAX_SHARP_LINES = 17
 
 
 def _read_instance(path: str):
@@ -168,14 +175,15 @@ def _fuzz_one(payload):
 def _check_fuzz_args(args) -> None:
     """Reject option values the corpus generators cannot honour."""
     fewest = 3 if args.sharp_only else 2  # a sharp pair needs a non-pencil
+    most = MAX_SHARP_LINES if args.sharp_only else MAX_LINES
     if not 0 <= args.trials <= MAX_TRIALS:
         raise ParseError(f"must be from 0 to {MAX_TRIALS}, got {args.trials}", "--trials")
     if args.jobs < 1:
         raise ParseError(f"must be at least 1, got {args.jobs}", "--jobs")
-    if args.lines and args.lines < fewest:
-        raise ParseError(f"must be 0 (any) or at least {fewest}, got {args.lines}", "--lines")
-    if not args.lines and args.max_lines < 3:
-        raise ParseError(f"must be at least 3, got {args.max_lines}", "--max-lines")
+    if args.lines and not fewest <= args.lines <= most:
+        raise ParseError(f"must be 0 (any) or from {fewest} to {most}, got {args.lines}", "--lines")
+    if not args.lines and not 3 <= args.max_lines <= most:
+        raise ParseError(f"must be from 3 to {most}, got {args.max_lines}", "--max-lines")
     if args.order and not 2 <= args.order <= MAX_ORDER:
         raise ParseError(f"must be 0 (any) or from 2 to {MAX_ORDER}, got {args.order}", "--order")
     if args.order == 2 and not args.sharp_only and (not args.lines or args.lines % 2):

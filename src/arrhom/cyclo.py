@@ -28,9 +28,10 @@ Delta's own r rows with each entry counted as that l1 norm; r is at most
 the rank's cap, so the cap largest row norms bound it.  Once the distinct
 primes used multiply to more than H^phi(d), one of them reached r, so the
 largest rank seen is exact.  The certified core,
-:func:`rank_exponent_maps`, takes rows of integer exponent maps and the
-order; :func:`rank_exact` checks rows of ``CycloNumber`` entries and hands
-it their maps, and the Fox oracle builds such maps itself.
+:func:`rank_exponent_maps`, takes flat rows that key the int coefficient of
+zeta^k at column j as j * d + k; :func:`rank_exact` checks rows of
+``CycloNumber`` entries and writes their terms into such rows, and the Fox
+oracle builds them itself.
 
 A row is a map from column to value, as its builder made it; an absent
 entry is zero.  A floating-point fallback exists for monodromy values that
@@ -427,19 +428,18 @@ def rank_prime(d: int, k: int) -> tuple:
 def _rank_mod(rows, p: int, w: int, exponents, cap: int) -> int:
     """Rank over F_p of integer rows under zeta -> w, by sparse elimination.
 
-    ``rows`` holds lists of (column, exponent map with int coefficients);
+    ``rows`` holds lists of (column, exponent, nonzero int coefficient);
     ``exponents`` are the exponents that occur, whose images w^k are
     computed once.  Each row is reduced against the pivot rows found so far,
     which are kept monic in their leading column.
     """
     powers = {k: pow(w, k, p) for k in exponents}
     pivots = {}
-    for entries in rows:
+    for terms in rows:
         row = {}
-        for col, terms in entries:
-            v = sum(c * powers[k] for k, c in terms.items()) % p
-            if v:
-                row[col] = v
+        for col, k, c in terms:
+            row[col] = row.get(col, 0) + c * powers[k]
+        row = {col: m for col, v in row.items() if (m := v % p)}
         while row:
             lead = min(row)
             piv = pivots.get(lead)
@@ -471,19 +471,20 @@ def _mismatch(x) -> Exception:
 
 
 def rank_exact(rows, upper: int | None = None) -> int:
-    """Rank over Q(zeta_d) of rows that map columns to :class:`CycloNumber`.
+    """Rank over Q(zeta_d) of rows that map int columns to :class:`CycloNumber`.
 
     Every entry lies in Z[zeta_d], with int coefficients by construction, so
-    this checks the entries' types and orders and hands their own exponent
-    maps, unchanged, to :func:`rank_exponent_maps`, which certifies the
-    rank.  An entry that is not a ``CycloNumber`` raises
-    :class:`~arrhom.errors.ModeMismatch` (or ``TypeError`` for a scalar of
-    no mode), and two orders raise :class:`~arrhom.errors.OrderMismatch`.
+    this checks the entries and writes each row's terms into one flat row
+    for :func:`rank_exponent_maps`, which certifies the rank.  An entry that
+    is not a ``CycloNumber`` raises :class:`~arrhom.errors.ModeMismatch` (or
+    ``TypeError`` for a scalar of no mode), two orders raise
+    :class:`~arrhom.errors.OrderMismatch`, and a column that is not an int,
+    whose key would read back as another column's, raises ``TypeError``.
     """
-    maps = []
+    flat_rows = []
     order = None
     for r in rows:
-        entries = {}
+        flat = {}
         for j, x in r.items():
             if type(x) is not CycloNumber:
                 raise _mismatch(x)
@@ -491,19 +492,23 @@ def rank_exact(rows, upper: int | None = None) -> int:
                 if order is not None:
                     raise OrderMismatch(f"rows mix cyclotomic orders {order} and {x.order}")
                 order = x.order
-            if x.terms:
-                entries[j] = x.terms
-        maps.append(entries)
-    return rank_exponent_maps(maps, order, upper)
+            if type(j) is not int:
+                raise TypeError(f"exact rank takes int columns, not {type(j).__name__}")
+            base = j * order
+            for k, c in x.terms.items():
+                flat[base + k] = c
+        flat_rows.append(flat)
+    return rank_exponent_maps(flat_rows, order, upper)
 
 
 def rank_exponent_maps(rows, order: int, upper: int | None = None) -> int:
-    """Rank over Q(zeta_d), d = ``order``, of rows of integer exponent maps,
-    certified from their images modulo primes.
+    """Rank over Q(zeta_d), d = ``order``, of flat integer rows, certified
+    from their images modulo primes.
 
-    A row maps a column to an exponent map ``{k: c}`` with int coefficients,
-    the entry sum c zeta^k; an absent column or an empty map is zero, and
-    rows are not mutated.  For primes p = 1 (mod d) from :func:`rank_prime`,
+    A row maps the key j * d + k, for an int column j and 0 <= k < d, to the
+    int coefficient c of c zeta^k in its entry at column j; a zero c is no
+    term, and rows are not mutated.  One pass splits each key into its
+    column and exponent.  For primes p = 1 (mod d) from :func:`rank_prime`,
     the row images under zeta -> w in F_p are eliminated sparsely.  The
     result is the rank r over Q(zeta_d):
 
@@ -513,7 +518,7 @@ def rank_exponent_maps(rows, order: int, upper: int | None = None) -> int:
       prime over p, and N(Delta) is Delta times algebraic integers;
     - |N(Delta)| <= H^phi(d), where H is the product of the ``cap`` largest
       row norms max(1, ||row||_2), each entry counted as the l1 norm of its
-      exponent map.  Every complex embedding sends zeta^k to a number of
+      coefficients.  Every complex embedding sends zeta^k to a number of
       modulus 1, so that l1 norm bounds the entry in every embedding, and
       Hadamard's inequality bounds every embedding of Delta by the product
       of the norms of its own r rows.  Since r <= cap and every norm of a
@@ -523,30 +528,34 @@ def rank_exponent_maps(rows, order: int, upper: int | None = None) -> int:
     of size at most H^phi(d).  Primes are used until the rank reaches
     ``cap``, the least of the number of nonzero rows, of columns with a
     nonzero entry and ``upper``, or their product exceeds H^phi(d); the
-    largest rank seen is then r.  ``upper`` must be an upper bound on r
-    that the caller knows: a prime that reaches it proves r = upper.  The
-    comparison is by bit lengths: the product is at least 2^b with
+    largest rank seen is then r.  An entry's coefficients are those of its
+    exponent map, so H, the cap and the primes do not depend on the format.
+    ``upper`` must be an upper bound on r that the caller knows: a prime
+    that reaches it proves r = upper.  The comparison is by bit lengths:
+    the product is at least 2^b with
     b = sum(bit_length(p) - 1), and H^(2 phi(d)) < 2^(phi(d) * bit_length(H^2)),
     so 2 b >= that exponent proves product > H^phi(d).
 
-    Zero tests are structural: an entry is skipped when its map is empty.
-    A nonzero map that sums to zero is kept; its images are 0 mod every p.
+    Zero tests are structural: a zero coefficient is skipped.  Nonzero
+    coefficients that sum to zero are kept; their images are 0 mod every p.
     """
-    int_rows = []  # nonzero rows as lists of (column, exponent map)
+    int_rows = []  # nonzero rows as lists of (column, exponent, coefficient)
     exponents = set()
     columns = set()
     norms = []  # ||row||_2^2 per nonzero row, each >= 1
     for r in rows:
-        entries = [(j, t) for j, t in r.items() if t]
-        if not entries:
+        terms, l1 = [], {}  # l1: column -> l1 norm of its entry
+        for key, c in r.items():
+            if c:
+                j, k = divmod(key, order)
+                terms.append((j, k, c))
+                exponents.add(k)
+                l1[j] = l1.get(j, 0) + abs(c)
+        if not terms:
             continue
-        int_rows.append(entries)
-        norm = 0
-        for j, t in entries:
-            columns.add(j)
-            exponents.update(t)
-            norm += sum(map(abs, t.values())) ** 2
-        norms.append(norm)
+        int_rows.append(terms)
+        columns.update(l1)
+        norms.append(sum(v * v for v in l1.values()))
     if not int_rows:
         return 0
     cap = min(len(int_rows), len(columns))

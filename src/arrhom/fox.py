@@ -21,8 +21,8 @@ representation gives the twisted chain complex of the presentation complex;
 its first homology dimension is (g - 1) - rank(d2) whenever some monodromy
 value differs from 1.  The rows of d2 come from one Fox vector per wire,
 with no relator spelled out as a word (:func:`presentation`).  For an exact
-local system a row maps each generator to an integer exponent map, handed
-as built to the certified modular rank
+local system a row keys c zeta^k at generator g as g*d + k, the flat
+format that the certified modular rank takes as built
 (:func:`arrhom.cyclo.rank_exponent_maps`).  The computation never touches
 the angle/chamber machinery, so it serves as an independent cross-check.
 """
@@ -215,10 +215,10 @@ class GroupPresentation:
     """The sweep presentation under the monodromy: one generator per affine
     line, and per relator its row of d2.
 
-    A row maps a generator to the relator's Fox derivative there, evaluated
-    at the monodromy: an exponent map ``{k: c}`` with nonzero int
-    coefficients for an exact chart, a complex number for a float one.  An
-    absent generator is zero.
+    A row holds the relator's Fox derivatives, evaluated at the monodromy.
+    For an exact chart it maps the key g*d + k to the int coefficient c of
+    the term c zeta^k at generator g, a zero c being no term; for a float
+    chart it maps a generator to a complex number.  An absent key is zero.
     """
 
     generators: tuple
@@ -253,16 +253,6 @@ def _add_float(out, a, b, vec, _d):
         out[g] = get(g, 0j) + f * c
 
 
-def _exponent_maps(flat, d):
-    """A flat exact vector as ``{g: {k: c}}``, zero coefficients dropped."""
-    row = {}
-    for key, c in flat.items():
-        if c:
-            g, k = divmod(key, d)
-            row.setdefault(g, {})[k] = c
-    return row
-
-
 def presentation(dec: DeconedArrangement) -> GroupPresentation:
     """The sweep's relators as rows of d2, from one Fox vector per wire.
 
@@ -281,11 +271,11 @@ def presentation(dec: DeconedArrangement) -> GroupPresentation:
 
     Each coefficient is a unit or a difference of two; the modes differ in
     the primitive that adds one times a vector, and in how units multiply.
-    Z[C_d] is free on the powers of zeta, so an exact entry with its zero
-    coefficients dropped is the exponent map that the relator's word, read
-    letter by letter, gives: equal as a map, not only modulo Phi_d.  While
-    built, an exact vector keys c zeta^k at generator g as g*d + k.  Rows
-    come in sweep order: event by event, bottom to top.
+    Z[C_d] is free on the powers of zeta, so an exact row, keyed g*d + k
+    for c zeta^k at generator g, with its zero coefficients dropped, is the
+    one that the relator's word, read letter by letter, gives: equal term
+    by term, not only modulo Phi_d.  Rows go to the rank as built, in sweep
+    order: event by event, bottom to top.
     """
     m, d = len(dec.lines), dec.order
     if d is None:
@@ -314,7 +304,7 @@ def presentation(dec: DeconedArrangement) -> GroupPresentation:
             row = {}
             add(row, one, units[w], f_s, d)
             add(row, phi_s, one, f_w, d)
-            rows.append(row if d is None else _exponent_maps(row, d))
+            rows.append(row)
     return GroupPresentation(tuple(range(m)), tuple(rows))
 
 

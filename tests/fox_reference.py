@@ -89,9 +89,10 @@ def fox_row_float(word, mon):
 
 def reference_rows(dec):
     """The rows of d2 that the word path gives, in sweep order; exact rows
-    with their empty maps dropped."""
+    flat, c zeta^k at generator g keyed g*d + k, with no zero coefficient."""
     words = relator_words(dec)
     if dec.order is None:
         return [fox_row_float(w, dec.monodromy) for w in words]
-    rows = [fox_row(w, dec.monodromy, dec.order) for w in words]
-    return [{g: t for g, t in row.items() if t} for row in rows]
+    d = dec.order
+    rows = [fox_row(w, dec.monodromy, d) for w in words]
+    return [{g * d + k: c for g, t in row.items() for k, c in t.items()} for row in rows]

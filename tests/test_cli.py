@@ -293,6 +293,10 @@ def test_env_seed_override(a3_file, capsys, monkeypatch):
         (None, ("fuzz", "--order", str(MAX_ORDER + 1)), "--order"),
         (None, ("fuzz", "--jobs", "0"), "--jobs"),
         (None, ("fuzz", "--jobs", "-3"), "--jobs"),
+        (None, ("fuzz", "--lines", "20", "--trials", "1"), "--lines"),
+        (None, ("fuzz", "--lines", "18", "--sharp-only", "--trials", "1"), "--lines"),
+        (None, ("fuzz", "--max-lines", "400"), "--max-lines"),
+        (None, ("fuzz", "--max-lines", "18", "--sharp-only"), "--max-lines"),
     ],
 )
 def test_bad_option_values_exit_1(a3_file, capsys, monkeypatch, tmp_path, env_seed, argv, option):
@@ -335,6 +339,18 @@ def test_fuzz_trials_are_bounded_before_any_corpus_is_built(capsys, monkeypatch)
             assert "--trials" in err and str(cli.MAX_TRIALS) in err and "Traceback" not in err
     # the bound itself is accepted
     cli._check_fuzz_args(cli._build_parser().parse_args(["fuzz", "--trials", str(cli.MAX_TRIALS)]))
+
+
+def test_fuzz_line_bounds_are_what_every_generator_reaches(tmp_path, capsys, monkeypatch):
+    # a pencil draws distinct slopes p/q with |p| <= 4, q <= 3, and the
+    # sharp corpus's conic tangents distinct t with |p| <= 5, q <= 2: one
+    # line more than there are values would never be drawn
+    assert len({Fraction(p, q) for p in range(-4, 5) for q in range(1, 4)}) == cli.MAX_LINES
+    assert len({Fraction(p, q) for p in range(-5, 6) for q in range(1, 3)}) == cli.MAX_SHARP_LINES
+    monkeypatch.chdir(tmp_path)
+    for argv in (("--lines", str(cli.MAX_LINES)), ("--sharp-only", "--lines", str(cli.MAX_SHARP_LINES))):
+        code, out, err = _run(capsys, "fuzz", "--trials", "2", "--seed", "0", *argv)
+        assert (code, json.loads(out)["violations"]) == (0, 0), err
 
 
 def test_fuzz_zero_trials(capsys):

@@ -348,33 +348,49 @@ def test_rank_deficient_certification_uses_several_primes(monkeypatch):
     assert len(images) > 1
 
 
-def _record_rows(monkeypatch):
-    """Collect the integer rows that rank_exact hands to each modular image."""
+def _record_rows(monkeypatch, name):
+    """Collect the rows handed to ``cyclo.<name>``."""
     seen = []
-    real = cyclo._rank_mod
+    real = getattr(cyclo, name)
 
     def recording(rows, *args):
         seen.append(rows)
         return real(rows, *args)
 
-    monkeypatch.setattr(cyclo, "_rank_mod", recording)
+    monkeypatch.setattr(cyclo, name, recording)
     return seen
 
 
+def _flat(row, d):
+    """A row of CycloNumber entries in the flat format, keyed j * d + k."""
+    return {j * d + k: c for j, x in row.items() for k, c in x.terms.items()}
+
+
 def test_rank_exact_hands_the_entries_own_maps(monkeypatch):
-    # every row is eliminated as its entries' own int maps, with no copy
-    # and no rescaling, and an entry whose map is empty is left out
-    seen = _record_rows(monkeypatch)
+    # every row reaches the certified core as one flat row of its entries'
+    # own int terms, with no rescaling, and an entry whose map is empty
+    # adds no key; the core eliminates the (column, exponent, coefficient)
+    # terms that the keys split into
+    flat, terms = _record_rows(monkeypatch, "rank_exponent_maps"), _record_rows(monkeypatch, "_rank_mod")
     m = [{0: W, 1: ONE3 * 2}, {1: W2 + 3, 2: W}, {0: ONE3 + W * 2, 2: W2 * 2, 3: ZERO3}, {0: W * 2, 1: ONE3 * 4}]
     assert rank_exact(m) == rank_float(_complex(m)) == 3
-    rows = seen[0]
-    for built, got in zip(m, rows):
-        nonzero = [x for x in built.values() if x.terms]
-        assert [t for _j, t in got] == [x.terms for x in nonzero]
-        assert all(t is x.terms for (_j, t), x in zip(got, nonzero))
-    assert rows[2] == [(0, {0: 1, 1: 2}), (2, {2: 2})]
-    assert all(type(c) is int for row in rows for _j, t in row for c in t.values())
+    assert flat == [[_flat(r, 3) for r in m]]
+    assert flat[0][2] == {0: 1, 1: 2, 8: 2}
+    assert terms[0][2] == [(0, 0, 1), (0, 1, 2), (2, 2, 2)]
+    assert all(type(c) is int for row in flat[0] for c in row.values())
     assert rank_exact([{0: CycloNumber.from_terms(1, {0: 3})}]) == 1
+    assert rank_exact([{-1: W}, {0: ONE3}]) == 2  # a negative column keeps its own key
+
+
+@pytest.mark.parametrize("column", [0.5, 1.0, "0", None, True])
+def test_rank_exact_rejects_columns_that_are_not_ints(column):
+    # a flat key j * d + k reads back as (j, k) only for an int j: at d = 2
+    # column 0.5 with exponent 0 would be key 1.0, column 0's zeta term
+    one = CycloNumber.one(2)
+    with pytest.raises(TypeError, match="int columns"):
+        rank_exact([{0: one, column: one}])
+    with pytest.raises(TypeError, match="int columns"):
+        rank([{column: W}])
 
 
 def test_rank_is_capped_by_the_columns_that_occur(monkeypatch):
@@ -409,22 +425,30 @@ def test_rank_bound_counts_only_the_cap_largest_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_rank_core_takes_exponent_maps(seed):
-    # the certified core on the entries' own maps gives rank_exact's rank;
-    # empty maps are zeros, rows are not mutated, and upper caps the rank
+def test_rank_core_takes_exponent_maps(seed, monkeypatch):
+    # the certified core on flat rows of the entries' own terms gives
+    # rank_exact's rank; zero coefficients and empty rows are zeros, rows
+    # are not mutated, and upper caps the rank
     rng = random.Random(200 + seed)
     d = rng.choice([2, 3, 5, 12])
     m = _random_matrix(rng, d, rng.randint(1, 8), rng.randint(1, 8))
     m += [{j: x + m[0][j] for j, x in m[-1].items()}]
-    maps = [{j: dict(x.terms) for j, x in r.items()} for r in m]
-    maps.append({0: {}, 3: {}})
-    before = [{j: dict(t) for j, t in r.items()} for r in maps]
-    r = rank_exponent_maps(maps, d)
+    rows = [_flat(r, d) for r in m]
+    rows[0][9 * d + 1] = 0  # a column whose only coefficient is zero
+    rows.append({0: 0, 3 * d: 0})
+    rows.append({})
+    before = [dict(r) for r in rows]
+    r = rank_exponent_maps(rows, d)
     assert r == rank_exact(m) == rank_float(_complex(m))
-    assert maps == before
-    assert rank_exponent_maps(maps, d, upper=r) == r
-    assert rank_exponent_maps(maps, d, upper=0) == 0
-    assert rank_exponent_maps([{0: {}}, {}], d) == rank_exponent_maps([], d) == 0
+    assert rows == before
+    assert rank_exponent_maps(rows, d, upper=r) == r
+    assert rank_exponent_maps(rows, d, upper=0) == 0
+    assert rank_exponent_maps([{0: 0}, {}], d) == rank_exponent_maps([], d) == 0
+    # a zero coefficient is no column: with one column the cap is 1, so the
+    # first prime ends the certification of these large entries
+    images = _record_images(monkeypatch)
+    assert rank_exponent_maps([{0: 2**100, d: 0}, {1 % d: 3**70, 2 * d + 1 % d: 0}], d) == 1
+    assert len(images) == 1
 
 
 def test_rank_exact_matches_float_30x30():

@@ -335,6 +335,29 @@ def test_oracle_maps_one_chart_and_intersects_nothing(calls, monkeypatch, generi
     assert work == {"transform": 1, "from_terms": 1, "rank_exact": 1, "rank_exponent_maps": 1}
 
 
+def test_oracle_hands_the_presentation_rows_to_the_rank_unconverted(monkeypatch):
+    # the sweep's flat rows are the rows of d2 that the certified core
+    # takes: the same row objects, with no conversion in between
+    built, handed = [], []
+    real_presentation, real_rank = fox.presentation, cyclo.rank_exponent_maps
+
+    def presentation(*args):
+        built.append(real_presentation(*args))
+        return built[-1]
+
+    def rank_exponent_maps(rows, *args, **kwargs):
+        handed.append(rows)
+        return real_rank(rows, *args, **kwargs)
+
+    _rebind(monkeypatch, real_presentation, presentation)
+    _rebind(monkeypatch, real_rank, rank_exponent_maps)
+    grid = Arrangement([Line.from_coeffs(*l) for l in GRID_LINES])
+    assert fox.oracle_h1(grid, LocalSystem(order=3, exponents=[1] * 9), 0) == 1
+    (pres,), (rows,) = built, handed
+    assert rows is pres.relators
+    assert all(type(key) is int and type(c) is int for row in rows for key, c in row.items())
+
+
 def test_grid_report_does_no_power_basis_reduction_on_the_hot_path(monkeypatch, tmp_path, capsys):
     # Fox rows, relation rows and exact rank work on exponent maps; only the
     # cold path (equality and zero tests of long maps, printing) reduces mod Phi_d
