@@ -14,6 +14,15 @@ exact membership of each beta(q) in the row space of the relation matrix
 (rank stability under appending) and exact linear independence of the
 family, giving dim(A'/K cap A') <= #A' - #N <= #R0 - 1.
 
+The rank of the adapted frame's relation rows is not computed: it is the
+report's ``rank_K``.  The frame has the basic frame's resonant points, so
+the same number dim A of angles, and h1 = dim A - rank K is the same in
+every chart.  So membership costs one rank, that of the rows with every
+member appended, compared with ``rank_K``.  When rank K = dim A, as on
+every h1 = 0 input, the row space holds every vector on the basis columns,
+where the members live, so the frame's chambers and relation rows are not
+built at all.
+
 The adapted frame is one projective map of the basic frame that the
 caller's h1 report already holds (:func:`geometry.adapted_frame`), so a
 certificate runs no normalization search and intersects nothing.  A frame is
@@ -34,10 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .cyclo import rank
+from .cyclo import flatten_rows, rank, rank_exponent_maps, rank_float
 from .errors import InvariantError, NotNormalized, PencilNotCovered
 from .geometry import Arrangement, adapted_chambers, adapted_frame, sharp_pairs
-from .homology import relation_matrix
+from .homology import AngleBasis, HomologyReport, relation_matrix
 from .local_system import LocalSystem, ResonantSet, resonant_points
 
 __all__ = [
@@ -102,21 +111,27 @@ def _vec_add(acc, vec, scale):
     return acc
 
 
-def beta_certificate(narr: Arrangement, cells: list, system: LocalSystem, l0: int) -> BetaCertificate:
+def beta_certificate(rep: HomologyReport, system: LocalSystem, l0: int) -> BetaCertificate:
     """Build and verify the neighbor certificate along one line.
 
-    ``narr`` is a normalized arrangement and ``cells`` its chambers, such as
-    the basic frame of an h1 report and its walk (``HomologyReport.arrangement``
-    and ``HomologyReport.chambers``).  The adapted frame's bounded chambers
-    are selected from ``cells`` (:func:`geometry.adapted_chambers`).
+    ``rep`` is the report of :func:`homology.h1` for ``system``: its basic
+    frame ``rep.arrangement`` is mapped to the adapted frame, whose bounded
+    chambers are selected from the report's walk ``rep.chambers``
+    (:func:`geometry.adapted_chambers`), and its ``rank_K`` is the rank of
+    the adapted frame's relation rows.  That frame has the report's
+    resonant points (below), so the same dim A, and h1 = dim A - rank K does
+    not depend on the chart.  A basis of another dimension raises
+    :class:`~arrhom.errors.InvariantError`.
 
-    A line that carries no resonant point of ``narr`` gets the vacuous
-    certificate, 0 <= 0, without a frame.  That is exact: ``transform`` maps
-    each point with its line ids, and resonance reads only the line ids, so
-    the adapted frame has a resonant point on l0 exactly when ``narr`` has
-    one.  Without one, R0, A', the neighbors, the betas and the extra
-    members are all empty, so every check holds and the family has rank 0.
+    A line that carries no resonant point of the basic frame gets the
+    vacuous certificate, 0 <= 0, without a frame.  That is exact:
+    ``transform`` maps each point with its line ids, and resonance reads
+    only the line ids, so the adapted frame has a resonant point on l0
+    exactly when the basic frame has one.  Without one, R0, A', the
+    neighbors, the betas and the extra members are all empty, so every
+    check holds and the family has rank 0.
     """
+    narr = rep.arrangement
     system.require_admissible(narr)
     if len(narr.points) <= 1:
         raise PencilNotCovered("the neighbor certificate needs more than one point")
@@ -146,7 +161,14 @@ def beta_certificate(narr: Arrangement, cells: list, system: LocalSystem, l0: in
         neighbors[lid] = qs[0][1]
     n_points = sorted(set(neighbors.values()))
 
-    basis, rel_rows = relation_matrix(frame, system, res, adapted_chambers(narr, cells, frame, l0))
+    # the members have entries only on basis columns, so at full column
+    # rank (every h1 = 0 input) they lie in the row space: no rows needed
+    if rep.rank_K < rep.dim_A:
+        basis, rel_rows = relation_matrix(frame, system, res, adapted_chambers(narr, rep.chambers, frame, l0))
+    else:
+        basis, rel_rows = AngleBasis(frame, res), None
+    if basis.dim != rep.dim_A:
+        raise InvariantError(f"the adapted frame has {basis.dim} angles, the report {rep.dim_A}")
     one = system.one()
 
     # alpha(l) lives at the unique resonant base point that l passes through:
@@ -190,12 +212,21 @@ def beta_certificate(narr: Arrangement, cells: list, system: LocalSystem, l0: in
                     _vec_add(diff, alpha_of_line[lb], -one)
                 extra.append((qid, diff))
 
-    # span(R + S) = span(R) exactly when S lies in span(R): one rank test
-    # covers every beta vector and every nonzero extra member
-    rel = [r.coeffs for r in rel_rows]
+    # span(R + S) = span(R) exactly when S lies in span(R), and rank(R) is
+    # the report's rank_K: one rank test covers every beta vector and every
+    # nonzero extra member
     beta_rows = [vec for _q, _f, vec in betas]
     members = beta_rows + [diff for _q, diff in extra if any(diff.values())]
-    all_in = not members or rank(rel + members) == rank(rel)
+    all_in = True
+    if rel_rows is not None and members:
+        rel = [r.coeffs for r in rel_rows]
+        if system.is_exact:
+            together = rank_exponent_maps(rel + flatten_rows(members)[0], system.order)
+        else:
+            together = rank_float(rel + members)
+        if together < rep.rank_K:
+            raise InvariantError(f"the adapted frame's rows with members have rank {together} < rank K {rep.rank_K}")
+        all_in = together == rep.rank_K
     family_rank = rank(beta_rows)
     n_n = len(n_points)
     counting_ok = n_n >= len(a_prime) - len(r0) + 1 if r0 else True

@@ -33,7 +33,7 @@ from .errors import (
     TrivialOnLine,
 )
 from .fox import oracle_h1
-from .fuzz import corpus, run_trial, sharp_corpus
+from .fuzz import MAX_LINES, MAX_SHARP_LINES, corpus, run_trial, sharp_corpus
 from .geometry import normalize, sharp_pairs
 from .io import build_report, dump_instance, parse_instance, report_to_json
 from .render import render_svg
@@ -44,13 +44,6 @@ __all__ = ["MAX_LINES", "MAX_SHARP_LINES", "MAX_TRIALS", "main"]
 # runs: 2000 trials took 2.1 s and 8.6 MB, so this bound keeps that under
 # about 10 s and 43 MB.
 MAX_TRIALS = 10000
-
-# The corpus generators draw distinct values from finite sets, and would
-# draw forever past their size: a pencil's slopes are the 19 fractions p/q
-# with |p| <= 4 and q <= 3, and the sharp corpus's conic tangents the 17
-# with |p| <= 5 and q <= 2.  So --lines and --max-lines stop there.
-MAX_LINES = 19
-MAX_SHARP_LINES = 17
 
 
 def _read_instance(path: str):

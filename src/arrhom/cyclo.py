@@ -27,11 +27,13 @@ bounds |N(Delta)| by H^phi(d), where H is the product of the row norms of
 Delta's own r rows with each entry counted as that l1 norm; r is at most
 the rank's cap, so the cap largest row norms bound it.  Once the distinct
 primes used multiply to more than H^phi(d), one of them reached r, so the
-largest rank seen is exact.  The certified core,
-:func:`rank_exponent_maps`, takes flat rows that key the int coefficient of
-zeta^k at column j as j * d + k; :func:`rank_exact` checks rows of
-``CycloNumber`` entries and writes their terms into such rows, and the Fox
-oracle builds them itself.
+largest rank seen is exact.  A first prime that reaches the cap needs no
+bound, so the norms are computed only when it falls short.  The certified
+core, :func:`rank_exponent_maps`, takes flat rows that key the int
+coefficient of zeta^k at column j as j * d + k; :func:`flatten_rows` checks
+rows of ``CycloNumber`` entries and writes their terms into such rows (for
+:func:`rank_exact` and the certificates' members), and the relation matrix
+and the Fox oracle build them themselves.
 
 A row is a map from column to value, as its builder made it; an absent
 entry is zero.  A floating-point fallback exists for monodromy values that
@@ -53,7 +55,9 @@ from .errors import InvariantError, ModeMismatch, OrderMismatch
 __all__ = [
     "MAX_ORDER",
     "CycloNumber",
+    "column_entries",
     "euler_phi",
+    "flatten_rows",
     "rank",
     "rank_exact",
     "rank_exponent_maps",
@@ -470,13 +474,13 @@ def _mismatch(x) -> Exception:
     return TypeError(f"unsupported scalar {type(x).__name__}")
 
 
-def rank_exact(rows, upper: int | None = None) -> int:
-    """Rank over Q(zeta_d) of rows that map int columns to :class:`CycloNumber`.
+def flatten_rows(rows) -> tuple:
+    """Rows that map int columns to :class:`CycloNumber` entries as flat rows
+    keyed j * d + k, the format of :func:`rank_exponent_maps`, with their
+    order d (``None`` when no row has an entry).
 
-    Every entry lies in Z[zeta_d], with int coefficients by construction, so
-    this checks the entries and writes each row's terms into one flat row
-    for :func:`rank_exponent_maps`, which certifies the rank.  An entry that
-    is not a ``CycloNumber`` raises :class:`~arrhom.errors.ModeMismatch` (or
+    Each entry's own terms are written, with no rescaling.  An entry that is
+    not a ``CycloNumber`` raises :class:`~arrhom.errors.ModeMismatch` (or
     ``TypeError`` for a scalar of no mode), two orders raise
     :class:`~arrhom.errors.OrderMismatch`, and a column that is not an int,
     whose key would read back as another column's, raises ``TypeError``.
@@ -498,7 +502,27 @@ def rank_exact(rows, upper: int | None = None) -> int:
             for k, c in x.terms.items():
                 flat[base + k] = c
         flat_rows.append(flat)
-    return rank_exponent_maps(flat_rows, order, upper)
+    return flat_rows, order
+
+
+def column_entries(row, order: int) -> dict:
+    """A flat row, keyed j * d + k, read back as a map from column j to its
+    :class:`CycloNumber` entry, the sum of the row's c zeta^k at that column."""
+    terms = {}
+    for key, c in row.items():
+        j, k = divmod(key, order)
+        terms.setdefault(j, {})[k] = c
+    return {j: CycloNumber.from_terms(order, t) for j, t in terms.items()}
+
+
+def rank_exact(rows, upper: int | None = None) -> int:
+    """Rank over Q(zeta_d) of rows that map int columns to :class:`CycloNumber`.
+
+    Every entry lies in Z[zeta_d], with int coefficients by construction, so
+    the rows are checked and written as flat rows (:func:`flatten_rows`, which
+    names the errors) for :func:`rank_exponent_maps`, which certifies the rank.
+    """
+    return rank_exponent_maps(*flatten_rows(rows), upper)
 
 
 def rank_exponent_maps(rows, order: int, upper: int | None = None) -> int:
@@ -528,8 +552,12 @@ def rank_exponent_maps(rows, order: int, upper: int | None = None) -> int:
     of size at most H^phi(d).  Primes are used until the rank reaches
     ``cap``, the least of the number of nonzero rows, of columns with a
     nonzero entry and ``upper``, or their product exceeds H^phi(d); the
-    largest rank seen is then r.  An entry's coefficients are those of its
-    exponent map, so H, the cap and the primes do not depend on the format.
+    largest rank seen is then r.  The first prime always runs, and a rank
+    that reaches ``cap`` needs no bound, so the norms, H and the bit target
+    are computed only once the first prime falls short; the primes used and
+    the rank are the same as if they had been computed first.  An entry's
+    coefficients are those of its exponent map, so H, the cap and the
+    primes do not depend on the format.
     ``upper`` must be an upper bound on r that the caller knows: a prime
     that reaches it proves r = upper.  The comparison is by bit lengths:
     the product is at least 2^b with
@@ -542,34 +570,47 @@ def rank_exponent_maps(rows, order: int, upper: int | None = None) -> int:
     int_rows = []  # nonzero rows as lists of (column, exponent, coefficient)
     exponents = set()
     columns = set()
-    norms = []  # ||row||_2^2 per nonzero row, each >= 1
     for r in rows:
-        terms, l1 = [], {}  # l1: column -> l1 norm of its entry
+        terms = []
         for key, c in r.items():
             if c:
                 j, k = divmod(key, order)
                 terms.append((j, k, c))
                 exponents.add(k)
-                l1[j] = l1.get(j, 0) + abs(c)
-        if not terms:
-            continue
-        int_rows.append(terms)
-        columns.update(l1)
-        norms.append(sum(v * v for v in l1.values()))
-    if not int_rows:
-        return 0
+                columns.add(j)
+        if terms:
+            int_rows.append(terms)
     cap = min(len(int_rows), len(columns))
     if upper is not None:
         cap = min(cap, upper)
-    norms.sort(reverse=True)
-    need = euler_phi(order) * prod(norms[:cap]).bit_length()  # H^(2 phi) < 2^need
-    best, bits, k = 0, 0, 0
+    if cap <= 0:
+        return 0
+    p, w = rank_prime(order, 0)
+    best = _rank_mod(int_rows, p, w, exponents, cap)
+    if best == cap:
+        return best
+    need = _norm_bits(int_rows, order, cap)  # H^(2 phi) < 2^need
+    bits, k = p.bit_length() - 1, 1
     while best < cap and 2 * bits < need:
         p, w = rank_prime(order, k)
         best = max(best, _rank_mod(int_rows, p, w, exponents, cap))
         bits += p.bit_length() - 1
         k += 1
     return best
+
+
+def _norm_bits(int_rows, order: int, cap: int) -> int:
+    """phi(d) * bit_length(H^2), for H the product of the ``cap`` largest row
+    norms max(1, ||row||_2), each entry counted as the l1 norm of its
+    coefficients; so H^(2 phi(d)) < 2^result."""
+    norms = []  # ||row||_2^2 per nonzero row, each >= 1
+    for terms in int_rows:
+        l1 = {}  # column -> l1 norm of its entry
+        for j, _k, c in terms:
+            l1[j] = l1.get(j, 0) + abs(c)
+        norms.append(sum(v * v for v in l1.values()))
+    norms.sort(reverse=True)
+    return euler_phi(order) * prod(norms[:cap]).bit_length()
 
 
 def rank_float(rows) -> int:

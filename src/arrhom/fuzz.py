@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bounds import beta_certificate, cdo_bound, r0_bound, sharp_pair_report
+from .cyclo import column_entries
 from .errors import DuplicateLine, NormalizationFailed
 from .fox import oracle_h1
 from .geometry import Arrangement, Line, sharp_pairs
@@ -27,6 +28,8 @@ from .homology import h1, point_rows, sector_sums
 from .local_system import LocalSystem
 
 __all__ = [
+    "MAX_LINES",
+    "MAX_SHARP_LINES",
     "Instance",
     "TrialResult",
     "constant_system",
@@ -36,6 +39,13 @@ __all__ = [
     "run_trial",
     "sharp_corpus",
 ]
+
+# The generators draw distinct values from finite sets, and would draw
+# forever past their size: a pencil's slopes are the 19 fractions p/q with
+# |p| <= 4 and q <= 3, and the sharp corpus's conic tangents the 17 with
+# |p| <= 5 and q <= 2.  So the corpora stop there.
+MAX_LINES = 19
+MAX_SHARP_LINES = 17
 
 
 @dataclass(frozen=True)
@@ -222,7 +232,12 @@ def random_sharp_arrangement(rng: random.Random, n: int) -> Arrangement:
 
 
 def corpus(seed: int, count: int, n_range=(3, 8), d_range=(2, 6)):
-    """A reproducible list of general instances, biased toward resonance."""
+    """A reproducible list of general instances, biased toward resonance.
+
+    More than ``MAX_LINES`` lines raise ``ValueError`` before any draw.
+    """
+    if n_range[1] > MAX_LINES:
+        raise ValueError(f"the corpus draws at most {MAX_LINES} lines, not {n_range[1]}")
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -253,7 +268,10 @@ def sharp_corpus(seed: int, count: int, n_range=(3, 8), even_constant: bool = Fa
 
     With ``even_constant`` the systems are constant of even order dividing
     the line count, the situation in which the twisted homology vanishes.
+    More than ``MAX_SHARP_LINES`` lines raise ``ValueError`` before any draw.
     """
+    if n_range[1] > MAX_SHARP_LINES:
+        raise ValueError(f"the sharp corpus draws at most {MAX_SHARP_LINES} lines, not {n_range[1]}")
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -338,16 +356,17 @@ def run_trial(
     if res.point_ids:
         sums = sector_sums(rep, system)
         for pid in res.point_ids:
-            plus, minus = point_rows(narr, system, rep.basis, pid)
-            got_plus = {k: v for k, v in sums[pid][0].items() if v}
-            got_minus = {k: v for k, v in sums[pid][1].items() if v}
-            if got_plus != plus.coeffs or got_minus != minus.coeffs:
+            rows = [r.coeffs for r in point_rows(narr, system, rep.basis, pid)]
+            if system.is_exact:
+                rows = [column_entries(r, system.order) for r in rows]
+            got = [{k: v for k, v in side.items() if v} for side in sums[pid]]
+            if got != rows:
                 violations.append(f"sector sums at point {pid} miss the point rows")
 
     if with_certificate and not pencil:
         for lid in range(arr.n):
             try:
-                cert = beta_certificate(narr, rep.chambers, system, lid)
+                cert = beta_certificate(rep, system, lid)
             except NormalizationFailed as exc:
                 violations.append(f"no adapted frame along line {lid}: {exc}")
                 continue

@@ -15,13 +15,22 @@ direction.  Relations come in two families:
 
 The first Betti number with coefficients in the local system is the number
 of angles minus the rank of the stacked relation matrix.
+
+In exact mode every entry is a monomial zeta^s with coefficient 1: s = 0 in
+a ``point+`` row, s = e(l_1) + ... + e(l_i) mod d on angle i of a ``point-``
+row, and a chamber entry is one of those two.  So the rows are built from
+exponent sums, as the flat rows ``{column * d + s: 1}`` that
+:func:`~arrhom.cyclo.rank_exponent_maps` certifies as built, and the float
+cross-check reads each entry as the complex unit zeta^s.  An exact h1 makes
+no ``CycloNumber``.  One builder serves both modes; the mode decides only
+how a unit is multiplied and written as an entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cyclo import rank, rank_float
+from .cyclo import _unit, rank_exponent_maps, rank_float
 from .errors import InvariantError, NotNormalized, NotResonant
 from .geometry import (
     Arrangement,
@@ -89,7 +98,13 @@ class AngleBasis:
 
 @dataclass(frozen=True)
 class RelationRow:
-    """A sparse relation supported on the angle basis."""
+    """A sparse relation supported on the angle basis.
+
+    ``coeffs`` is in the system's mode: for an exact system the flat row
+    ``{column * d + s: 1}`` of its entries zeta^s, the format of
+    :func:`~arrhom.cyclo.rank_exponent_maps`; for a float one the map
+    ``{column: complex value}``.
+    """
 
     kind: str  # "point+", "point-" or "chamber"
     label: int  # point id or chamber id
@@ -100,24 +115,45 @@ class RelationRow:
         return not self.coeffs
 
 
-def point_rows(arr: Arrangement, system: LocalSystem, basis: AngleBasis, point_id: int):
-    """The two kernel generators attached to one resonant point."""
+def _units(system: LocalSystem):
+    """The unit 1, the product of a unit with one line's monodromy, and the
+    row entry ``(key, value)`` of a unit at a column, in the system's mode.
+
+    An exact unit zeta^s is its exponent s mod d, so a product adds
+    exponents and the entry at column j is the flat term ``(j * d + s, 1)``.
+    A float unit is its complex value, and the entry is ``(j, value)``.
+    """
+    if system.is_exact:
+        d, e = system.order, system.exponents
+        return 0, lambda s, line: (s + e[line]) % d, lambda j, s: (j * d + s, 1)
+    v = system.values
+    return complex(1.0), lambda u, line: u * v[line], lambda j, u: (j, u)
+
+
+def _point_entries(arr: Arrangement, system: LocalSystem, basis: AngleBasis, point_id: int, units):
+    """The entries of one resonant point's ``point+`` and ``point-`` rows,
+    angle by angle: 1, and the partial product m(l_1)...m(l_i) on angle i."""
     p = arr.points[point_id]
     if not system.is_resonant_at(p):
         raise NotResonant(f"point {point_id} is not resonant")
-    start = basis.start[point_id]
-    one = system.one()
-    plus = dict.fromkeys(range(start, start + p.multiplicity), one)
-    minus = {}
+    one, times, entry = units
+    plus, minus = [], []
     acc = one
-    for col, line in enumerate(p.line_ids, start):
-        acc = acc * system.m(line)
-        minus[col] = acc
+    for col, line in enumerate(p.line_ids, basis.start[point_id]):
+        acc = times(acc, line)
+        plus.append(entry(col, one))
+        minus.append(entry(col, acc))
     if system.is_exact and acc != one:
         raise InvariantError(f"monodromy product at resonant point {point_id} is not 1")
+    return plus, minus
+
+
+def point_rows(arr: Arrangement, system: LocalSystem, basis: AngleBasis, point_id: int):
+    """The two kernel generators attached to one resonant point."""
+    plus, minus = _point_entries(arr, system, basis, point_id, _units(system))
     return (
-        RelationRow("point+", point_id, plus),
-        RelationRow("point-", point_id, minus),
+        RelationRow("point+", point_id, dict(plus)),
+        RelationRow("point-", point_id, dict(minus)),
     )
 
 
@@ -146,27 +182,28 @@ def relation_matrix(arr: Arrangement, system: LocalSystem, resonant: ResonantSet
     A bounded chamber's entry at a resonant vertex sits on the angle of its
     corner there, ``(i, side)``: the point's ``point-`` entry on angle i,
     m(l_1)...m(l_i), when the corner lies left of the vertical (side -1),
-    and 1 otherwise (:func:`lambda_coeff` is the same factor, computed anew).
+    and its ``point+`` entry 1 otherwise (:func:`lambda_coeff` is the same
+    factor, computed anew).  So every entry is a unit; in exact mode it is
+    zeta^s with s an exponent sum mod d, and the rows are flat
+    (:class:`RelationRow`).
     """
     if not arr.is_normalized:
         raise NotNormalized("relation matrix needs a normalized arrangement")
     basis = AngleBasis(arr, resonant)
-    start = basis.start
+    units = _units(system)
     rows = []
-    partial = {}  # resonant point id -> its point- row's coefficients
+    entries = {}  # resonant point id -> its point+ and point- entries
     for pid in resonant.point_ids:
-        plus, minus = point_rows(arr, system, basis, pid)
-        rows += (plus, minus)
-        partial[pid] = minus.coeffs
-    one = system.one()
+        plus, minus = entries[pid] = _point_entries(arr, system, basis, pid, units)
+        rows += (RelationRow("point+", pid, dict(plus)), RelationRow("point-", pid, dict(minus)))
     for ch in cells:
         if ch.bounded:
             coeffs = {}
             for pid, (index, side) in zip(ch.vertex_ids, ch.corners):
-                products = partial.get(pid)
-                if products is not None:
-                    col = start[pid] + index - 1
-                    coeffs[col] = products[col] if side < 0 else one
+                at = entries.get(pid)
+                if at is not None:
+                    key, value = at[side < 0][index - 1]
+                    coeffs[key] = value
             rows.append(RelationRow("chamber", ch.index, coeffs))
     return basis, rows
 
@@ -204,13 +241,16 @@ def h1(arr: Arrangement, system: LocalSystem, seed: int = 0) -> HomologyReport:
     cells = chambers(narr)
     basis, rows = relation_matrix(narr, system, resonant, cells)
     K = [r.coeffs for r in rows]
-    rank_K = rank(K)
+    if system.is_exact:
+        d = system.order
+        rank_K = rank_exponent_maps(K, d)
+        # every term is zeta^s with coefficient 1, at key column * d + s
+        agrees = rank_float([{key // d: _unit(d, key % d) for key in row} for row in K]) == rank_K
+    else:
+        rank_K, agrees = rank_float(K), True
     betti = basis.dim - rank_K
     num_chamber_rows = sum(1 for r in rows if r.kind == "chamber")
     zas_ok = num_chamber_rows == zaslavsky_bounded_count(narr)
-    agrees = True
-    if system.is_exact:
-        agrees = rank_float([{j: x.to_complex() for j, x in row.items()} for row in K]) == rank_K
     e = euler_characteristic(narr)
     return HomologyReport(
         dim_A=basis.dim,

@@ -312,7 +312,7 @@ def build_report(
         certs = []
         for lid in range(arr.n):
             try:
-                cert = beta_certificate(narr, rep.chambers, system, lid)
+                cert = beta_certificate(rep, system, lid)
             except (NormalizationFailed, PencilNotCovered) as exc:
                 certs.append({"line": lid, "status": f"unavailable: {exc}"})
                 continue

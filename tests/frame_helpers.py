@@ -3,12 +3,13 @@
 They check frames from outside the program: the incidence poset that every
 frame must keep, the product and inverse of normalization maps, a line's
 defining form and points, whether it is vertical, the lines bounding an angle,
-and the per-pair form of the sharp-pair test; and the triangular grids that
-several tests walk and print.
+and the per-pair form of the sharp-pair test; the triangular grids that several
+tests walk and print; and the entries of a relation row by column.
 """
 
 from fractions import Fraction
 
+from arrhom.cyclo import column_entries
 from arrhom.geometry import Arrangement, Line, _adjugate, _sign, mat_det
 
 
@@ -16,6 +17,18 @@ def triangular_grid(a: int) -> Arrangement:
     """The 4a - 3 lines x = i, y = j (0 <= i, j < a) and x + y = c (1 <= c <= 2a - 3)."""
     lines = [(1, 0, -i) for i in range(a)] + [(0, 1, -j) for j in range(a)] + [(1, 1, -c) for c in range(1, 2 * a - 2)]
     return Arrangement([Line.from_coeffs(*l) for l in lines])
+
+
+def row_values(row, system) -> dict:
+    """A relation row's entries by angle column, to compare exactly with ``==``.
+
+    An exact system's rows are flat, keyed column * d + s for the term
+    c zeta^s; they are read back into one ``CycloNumber`` per column.
+    A float system's rows map columns to complex values already.
+    """
+    if not system.is_exact:
+        return dict(row.coeffs)
+    return column_entries(row.coeffs, system.order)
 
 
 def incidence_signature(arr):

@@ -16,9 +16,10 @@ import pytest
 from arrhom.bounds import beta_certificate, cdo_bound, r0_bound
 from arrhom.fox import oracle_h1
 from arrhom.fuzz import corpus, sharp_corpus
-from arrhom.geometry import Arrangement, Line, chambers, normalize, zaslavsky_bounded_count
+from arrhom.geometry import Arrangement, Line, zaslavsky_bounded_count
 from arrhom.homology import h1, point_rows, sector_sums
 from arrhom.local_system import LocalSystem, resonant_points
+from frame_helpers import row_values
 
 GENERAL_SEED = 20240810
 SHARP_SEED = 424242
@@ -146,19 +147,17 @@ def test_criterion_4_sharp_pair_theorems(sharp_instances, even_sharp_instances):
     )
 
 
-def test_criterion_5_beta_certificates(general_corpus):
+def test_criterion_5_beta_certificates(general_corpus, general_reports):
     failures = []
     built = 0
     skipped = 0
-    for i, inst in enumerate(general_corpus):
+    for i, (inst, rep) in enumerate(zip(general_corpus, general_reports)):
         arr, system = inst.arrangement, inst.system
         if len(arr.points) <= 1:
             skipped += 1
             continue
-        narr = normalize(arr, i)[0]
-        cells = chambers(narr)
         for lid in range(arr.n):
-            cert = beta_certificate(narr, cells, system, lid)
+            cert = beta_certificate(rep, system, lid)
             built += 1
             if not cert.all_in_kernel:
                 failures.append((i, lid, "membership"))
@@ -189,7 +188,7 @@ def test_criterion_6_sector_sum_identity(general_corpus, general_reports):
             plus, minus = point_rows(narr, system, rep.basis, pid)
             got_plus = {k: v for k, v in sums[pid][0].items() if v}
             got_minus = {k: v for k, v in sums[pid][1].items() if v}
-            if got_plus != plus.coeffs or got_minus != minus.coeffs:
+            if got_plus != row_values(plus, system) or got_minus != row_values(minus, system):
                 bad.append((i, pid))
     ok = not bad and points_checked > 0
     _report(6, ok, f"{points_checked} resonant points checked, {len(bad)} mismatches")

@@ -1,10 +1,12 @@
 import pytest
 
+from arrhom import bounds
 from arrhom.bounds import BetaCertificate, beta_certificate, cdo_bound, r0_bound, sharp_pair_report
 from arrhom.errors import PencilNotCovered
 from arrhom.fuzz import corpus, sharp_corpus
-from arrhom.geometry import Arrangement, Line, adapted_frame, chambers, normalize
-from arrhom.homology import h1
+from arrhom.cyclo import CycloNumber, rank_exponent_maps
+from arrhom.geometry import Arrangement, Line, adapted_chambers, adapted_frame
+from arrhom.homology import h1, relation_matrix
 from arrhom.local_system import LocalSystem, resonant_points
 from conftest import pencil
 
@@ -76,19 +78,17 @@ def test_pencil_not_covered():
     res = resonant_points(arr, ls)
     with pytest.raises(PencilNotCovered):
         r0_bound(arr, res, 0)
-    narr = normalize(arr, 0)[0]
     with pytest.raises(PencilNotCovered):
-        beta_certificate(narr, chambers(narr), ls, 0)
+        beta_certificate(h1(arr, ls), ls, 0)
     # the sum bound still applies and is attained
     assert cdo_bound(arr, res, 0) == 2
     assert h1(arr, ls).h1 == 2
 
 
 def test_beta_certificate_quadrilateral(quadrilateral, quadrilateral_system):
-    narr = normalize(quadrilateral, 0)[0]
-    cells = chambers(narr)
+    rep = h1(quadrilateral, quadrilateral_system)
     for lid in range(6):
-        cert = beta_certificate(narr, cells, quadrilateral_system, lid)
+        cert = beta_certificate(rep, quadrilateral_system, lid)
         assert cert.ok
         assert cert.n_r0 == 2 and cert.n_a_prime == 4
         assert len(set(cert.neighbors.values())) == 3
@@ -97,14 +97,41 @@ def test_beta_certificate_quadrilateral(quadrilateral, quadrilateral_system):
 
 
 def test_beta_certificate_formula_specializations(quadrilateral, quadrilateral_system):
-    narr = normalize(quadrilateral, 0)[0]
-    cert = beta_certificate(narr, chambers(narr), quadrilateral_system, 0)
+    cert = beta_certificate(h1(quadrilateral, quadrilateral_system), quadrilateral_system, 0)
     for qid, resonant_flag, vec in cert.betas:
         assert vec, "a neighbor always contributes a nonzero vector"
     # non-resonant double-point neighbors contribute plain differences,
     # whose consecutive-difference members are recorded
     for _qid, diff in cert.extra_members:
         assert diff
+
+
+def test_a_member_moved_off_the_row_space_fails_membership(monkeypatch, quadrilateral, quadrilateral_system):
+    # h1 = 1, so the row space is a hyperplane of the 12 angle columns: the
+    # first beta vector plus the unit vector e_c stays in it exactly when
+    # e_c does, which the frame's own relation rows decide
+    rep = h1(quadrilateral, quadrilateral_system)
+    narr, system = rep.arrangement, quadrilateral_system
+    frame = adapted_frame(narr, 0)
+    res = resonant_points(frame, system)
+    basis, rows = relation_matrix(frame, system, res, adapted_chambers(narr, rep.chambers, frame, 0))
+    rel = [r.coeffs for r in rows]
+    assert rank_exponent_maps(rel, 3) == rep.rank_K == basis.dim - 1
+    real = bounds.flatten_rows
+    outside = 0
+    for c in range(basis.dim):
+
+        def moved(members, c=c):
+            first = dict(members[0])
+            first[c] = first.get(c, CycloNumber.zero(3)) + 1
+            return real([first] + members[1:])
+
+        monkeypatch.setattr(bounds, "flatten_rows", moved)
+        cert = beta_certificate(rep, system, 0)
+        off = rank_exponent_maps(rel + [{c * 3: 1}], 3) > rep.rank_K
+        assert cert.all_in_kernel is not off and cert.ok is not off, c
+        outside += off
+    assert outside > 0
 
 
 def test_bounds_dominate_h1_on_fuzz():
@@ -130,16 +157,15 @@ def test_beta_certificates_on_fuzz():
     for i, inst in enumerate(insts):
         if len(inst.arrangement.points) <= 1:
             continue
-        narr = normalize(inst.arrangement, i)[0]
-        cells = chambers(narr)
-        basic = resonant_points(narr, inst.system)
+        rep = h1(inst.arrangement, inst.system, i)
+        narr, basic = rep.arrangement, rep.resonant
         for lid in range(inst.arrangement.n):
             frame = adapted_frame(narr, lid)
             adapted = resonant_points(frame, inst.system)
             assert {frozenset(frame.points[pid].line_ids) for pid in adapted.on_line(lid)} == {
                 frozenset(narr.points[pid].line_ids) for pid in basic.on_line(lid)
             }, (i, lid)
-            cert = beta_certificate(narr, cells, inst.system, lid)
+            cert = beta_certificate(rep, inst.system, lid)
             assert cert.ok, (i, lid)
             if basic.on_line(lid):
                 assert cert.n_r0 == len(basic.on_line(lid)) and cert.betas, (i, lid)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from arrhom import cli
+from arrhom import cli, fuzz
 from arrhom.cli import main
 from arrhom.cyclo import MAX_ORDER
 from arrhom.geometry import Line, normalize
@@ -351,6 +351,30 @@ def test_fuzz_line_bounds_are_what_every_generator_reaches(tmp_path, capsys, mon
     for argv in (("--lines", str(cli.MAX_LINES)), ("--sharp-only", "--lines", str(cli.MAX_SHARP_LINES))):
         code, out, err = _run(capsys, "fuzz", "--trials", "2", "--seed", "0", *argv)
         assert (code, json.loads(out)["violations"]) == (0, 0), err
+
+
+def test_corpora_past_their_line_bounds_raise_instead_of_hanging():
+    # called from Python, not only through the CLI: one line more than the
+    # generators can draw is a ValueError naming the bound, before any draw;
+    # a fresh process under a timeout, since the failure this guards is a hang
+    code = (
+        "from arrhom.fuzz import corpus, sharp_corpus\n"
+        "for make, n in ((corpus, 20), (sharp_corpus, 18)):\n"
+        "    try:\n"
+        "        make(0, 1, n_range=(3, n))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"the corpus draws at most {cli.MAX_LINES} lines, not 20",
+        f"the sharp corpus draws at most {cli.MAX_SHARP_LINES} lines, not 18",
+    ]
+    assert (cli.MAX_LINES, cli.MAX_SHARP_LINES) == (fuzz.MAX_LINES, fuzz.MAX_SHARP_LINES) == (19, 17)
 
 
 def test_fuzz_zero_trials(capsys):

@@ -348,6 +348,29 @@ def test_rank_deficient_certification_uses_several_primes(monkeypatch):
     assert len(images) > 1
 
 
+def test_full_rank_is_certified_without_norms(monkeypatch):
+    # a first prime that reaches the cap needs no bound: the norms are
+    # computed only once a prime falls short, and then the rank and the
+    # primes are those of the eager bound
+    images = _record_images(monkeypatch)
+    real = cyclo._norm_bits
+
+    def refused(*args):
+        raise AssertionError("norms computed for a rank that reached its cap")
+
+    monkeypatch.setattr(cyclo, "_norm_bits", refused)
+    rng = random.Random(5)
+    m = _random_matrix(rng, 12, 4, 4, 10**6)
+    assert rank_exact(m) == 4 == rank_float(_complex(m))
+    assert rank_exponent_maps([{5: 7}, {3 * 5 + 2: -1, 5: 1}], 5) == 2
+    assert images == [(rank_prime(12, 0)[0], 4), (rank_prime(5, 0)[0], 2)]
+    # a rank below its cap computes them, once
+    calls = []
+    monkeypatch.setattr(cyclo, "_norm_bits", lambda *args: calls.append(args) or real(*args))
+    assert rank_exact([{0: ONE3, 1: W}, {0: W, 1: W * W}]) == 1
+    assert len(calls) == 1
+
+
 def _record_rows(monkeypatch, name):
     """Collect the rows handed to ``cyclo.<name>``."""
     seen = []

@@ -25,7 +25,7 @@ from arrhom.homology import (
 )
 from arrhom.local_system import LocalSystem, resonant_points
 from conftest import interior_points_at, pencil
-from frame_helpers import angle_lines
+from frame_helpers import angle_lines, row_values
 
 
 W = CycloNumber.zeta(3)
@@ -68,11 +68,12 @@ def test_point_rows_constant_monodromy(quadrilateral, quadrilateral_system):
     res = resonant_points(narr, quadrilateral_system)
     basis = AngleBasis(narr, res)
     for pid in res.point_ids:
-        plus, minus = point_rows(narr, quadrilateral_system, basis, pid)
+        rows = point_rows(narr, quadrilateral_system, basis, pid)
+        plus, minus = (row_values(r, quadrilateral_system) for r in rows)
         cols = [basis.column(pid, i) for i in (1, 2, 3)]
-        assert [plus.coeffs[c] for c in cols] == [ONE, ONE, ONE]
+        assert [plus[c] for c in cols] == [ONE, ONE, ONE]
         # partial products of a constant order-3 map: w, w^2, then 1
-        assert [minus.coeffs[c] for c in cols] == [W, W * W, ONE]
+        assert [minus[c] for c in cols] == [W, W * W, ONE]
 
 
 def test_point_rows_reject_non_resonant(quadrilateral, quadrilateral_system):
@@ -131,7 +132,7 @@ def test_corner_data_matches_sampled_directions(seed):
             break
     cells = chambers(narr)
     basis, rows = relation_matrix(narr, system, res, cells)
-    chamber_rows = {r.label: r.coeffs for r in rows if r.kind == "chamber"}
+    chamber_rows = {r.label: row_values(r, system) for r in rows if r.kind == "chamber"}
     checked = set()
     for ch in cells:
         for pid in ch.vertex_ids:
@@ -204,11 +205,12 @@ def test_chamber_rows_structure(quadrilateral, quadrilateral_system):
     bounded = [ch for ch in cells if ch.bounded]
     assert [r.label for r in chamber_rows] == [ch.index for ch in bounded]
     for ch, row in zip(bounded, chamber_rows):
-        assert len(row.coeffs) == 2
-        assert {basis.angles[c].point_id for c in row.coeffs} <= set(res.point_ids)
-        assert len({basis.angles[c].point_id for c in row.coeffs}) == 2
-        assert all(str(v) in powers for v in row.coeffs.values())
-        for c in row.coeffs:
+        values = row_values(row, quadrilateral_system)
+        assert len(values) == len(row.coeffs) == 2
+        assert {basis.angles[c].point_id for c in values} <= set(res.point_ids)
+        assert len({basis.angles[c].point_id for c in values}) == 2
+        assert all(str(v) in powers for v in values.values())
+        for c in values:
             angle = basis.angles[c]
             assert ch.corner(angle.point_id)[0] == angle.index
 
@@ -257,8 +259,9 @@ def test_chamber_rows_read_the_reference_formula_off_the_walk():
             assert [r.label for r in chamber_rows] == [ch.index for ch in bounded]
             for ch, row in zip(bounded, chamber_rows):
                 vertices = [pid for pid in ch.vertex_ids if pid in res]
-                assert {basis.angles[c].point_id for c in row.coeffs} == set(vertices)
-                assert row.coeffs == {
+                values = row_values(row, system)
+                assert {basis.angles[c].point_id for c in values} == set(vertices)
+                assert values == {
                     basis.column(pid, ch.corner(pid)[0]): lambda_coeff(frame, system, pid, ch)
                     for pid in vertices
                 }
@@ -278,7 +281,7 @@ def test_relation_matrix_census(quadrilateral, quadrilateral_system):
     # point rows are supported on their own angle block only
     for r in rows:
         if r.kind in ("point+", "point-"):
-            assert {basis.angles[c].point_id for c in r.coeffs} == {r.label}
+            assert {basis.angles[c].point_id for c in row_values(r, quadrilateral_system)} == {r.label}
 
 
 def test_h1_quadrilateral(quadrilateral, quadrilateral_system):
@@ -360,8 +363,8 @@ def test_sector_sums_reproduce_point_rows(quadrilateral, quadrilateral_system):
         plus, minus = point_rows(rep.arrangement, quadrilateral_system, rep.basis, pid)
         got_plus = {k: v for k, v in sums[pid][0].items() if v}
         got_minus = {k: v for k, v in sums[pid][1].items() if v}
-        assert got_plus == plus.coeffs
-        assert got_minus == minus.coeffs
+        assert got_plus == row_values(plus, quadrilateral_system)
+        assert got_minus == row_values(minus, quadrilateral_system)
 
 
 def test_every_resonant_point_has_two_chambers_per_angle(quadrilateral, quadrilateral_system):
@@ -372,7 +375,7 @@ def test_every_resonant_point_has_two_chambers_per_angle(quadrilateral, quadrila
     on_angle = {}  # column -> bounded chambers whose row has an entry there
     for r in rows:
         if r.kind == "chamber":
-            for c in r.coeffs:
+            for c in row_values(r, quadrilateral_system):
                 on_angle[c] = on_angle.get(c, 0) + 1
     for pid in res.point_ids:
         count = {}

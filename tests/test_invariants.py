@@ -15,8 +15,9 @@ from arrhom import bounds, fox, geometry
 from arrhom.cli import main
 from arrhom.errors import ArrhomError, InvariantError
 from arrhom.geometry import Arrangement, IntersectionPoint, normalize
-from arrhom.homology import AngleBasis, point_rows
+from arrhom.homology import AngleBasis, h1, point_rows
 from arrhom.local_system import LocalSystem, ResonantSet
+from frame_helpers import triangular_grid
 
 SRC = Path(arrhom.__file__).resolve().parent
 
@@ -57,9 +58,9 @@ def test_beta_certificate_checks_the_base_line_is_slope_minimal(
         return basis, rows
 
     monkeypatch.setattr(bounds, "relation_matrix", reversed_basis)
-    narr = normalize(quadrilateral, 0)[0]
+    rep = h1(quadrilateral, quadrilateral_system)
     with pytest.raises(InvariantError, match="slope-minimal"):
-        bounds.beta_certificate(narr, geometry.chambers(narr), quadrilateral_system, 0)
+        bounds.beta_certificate(rep, quadrilateral_system, 0)
 
 
 def test_beta_certificate_checks_each_line_has_a_lowest_point(
@@ -73,9 +74,9 @@ def test_beta_certificate_checks_each_line_has_a_lowest_point(
         return frame
 
     monkeypatch.setattr(bounds, "adapted_frame", without_points_off_base)
-    narr = normalize(quadrilateral, 0)[0]
+    rep = h1(quadrilateral, quadrilateral_system)
     with pytest.raises(InvariantError, match="no unique lowest point"):
-        bounds.beta_certificate(narr, geometry.chambers(narr), quadrilateral_system, 0)
+        bounds.beta_certificate(rep, quadrilateral_system, 0)
 
 
 def test_beta_certificate_checks_the_lowest_point_is_unique(
@@ -93,9 +94,34 @@ def test_beta_certificate_checks_the_lowest_point_is_unique(
         return Arrangement(frame.lines, frame.points + twins)
 
     monkeypatch.setattr(bounds, "adapted_frame", with_twin_points)
-    narr = normalize(quadrilateral, 0)[0]
+    rep = h1(quadrilateral, quadrilateral_system)
     with pytest.raises(InvariantError, match="no unique lowest point"):
-        bounds.beta_certificate(narr, geometry.chambers(narr), quadrilateral_system, 0)
+        bounds.beta_certificate(rep, quadrilateral_system, 0)
+
+
+@pytest.mark.parametrize("a", [None, 4])
+def test_beta_certificate_checks_the_report_has_the_frames_angles(a, quadrilateral, quadrilateral_system):
+    # a report whose dim A is not the adapted frame's angle count, in both
+    # branches: the quadrilateral (h1 = 1) builds the frame's relation rows,
+    # the 13-line grid (h1 = 0) does not
+    if a is None:
+        arr, system = quadrilateral, quadrilateral_system
+    else:
+        arr, system = triangular_grid(a), LocalSystem(order=3, exponents=[1] * 11 + [2, 2])
+    rep = h1(arr, system)
+    assert rep.h1 == (1 if a is None else 0)
+    assert bounds.beta_certificate(rep, system, 0).ok
+    with pytest.raises(InvariantError, match="angles"):
+        bounds.beta_certificate(replace(rep, dim_A=rep.dim_A + 1), system, 0)
+
+
+def test_beta_certificate_checks_its_rows_reach_the_reports_rank(monkeypatch, quadrilateral, quadrilateral_system):
+    # appending members never lowers a rank, so rows with members below the
+    # report's rank_K mean the frame's rows do not have rank K
+    rep = h1(quadrilateral, quadrilateral_system)
+    monkeypatch.setattr(bounds, "rank_exponent_maps", lambda rows, order: rep.rank_K - 1)
+    with pytest.raises(InvariantError, match="rank K"):
+        bounds.beta_certificate(rep, quadrilateral_system, 0)
 
 
 def test_decone_checks_the_monodromy_at_infinity(quadrilateral):

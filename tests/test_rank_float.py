@@ -17,6 +17,7 @@ from arrhom.fuzz import corpus, sharp_corpus
 from arrhom.geometry import Arrangement, Line
 from arrhom.homology import h1
 from arrhom.local_system import LocalSystem
+from frame_helpers import row_values
 
 
 def dense_rank_float(rows) -> int:
@@ -161,7 +162,7 @@ def _float_matrices(arr, system):
     out = []
     if system.is_exact:
         rows = h1(arr, system).rows
-        out.append([{j: x.to_complex() for j, x in r.coeffs.items()} for r in rows])
+        out.append([{j: x.to_complex() for j, x in row_values(r, system).items()} for r in rows])
         system = system.to_float()
     out.append([r.coeffs for r in h1(arr, system).rows])
     return out

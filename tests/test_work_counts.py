@@ -15,6 +15,7 @@ import importlib.util
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from arrhom.fuzz import run_trial
 from arrhom.geometry import Arrangement, Line
 from arrhom.local_system import LocalSystem
 from conftest import GRID_LINES, QUADRILATERAL_LINES, pencil
+from frame_helpers import triangular_grid
 
 TRACKED = {
     "h1": (homology, "h1"),
@@ -178,7 +180,7 @@ def test_a_certificate_maps_the_basic_frame_once(calls, monkeypatch, quadrilater
         for l0 in range(rep.arrangement.n):
             calls.clear()
             transforms.clear()
-            assert bounds.beta_certificate(rep.arrangement, rep.chambers, system, l0).ok
+            assert bounds.beta_certificate(rep, system, l0).ok
             assert transforms["transform"] == 1
             assert calls["normalize"] == 0 and calls["intersections"] == 0 and calls["chambers"] == 0
 
@@ -198,26 +200,28 @@ def test_a_line_without_resonant_points_maps_no_frame(monkeypatch):
     arr = Arrangement([Line.from_coeffs(*l) for l in lines])
     system = LocalSystem(order=5, exponents=[1, 1, 3, 1, 2, 2])
     rep = homology.h1(arr, system)
+    assert rep.h1 == 0  # so no certificate builds relation rows
     for l0 in range(6):
         counter.clear()
-        cert = bounds.beta_certificate(rep.arrangement, rep.chambers, system, l0)
+        cert = bounds.beta_certificate(rep, system, l0)
         assert cert.ok and cert.n_r0 == (1 if l0 < 3 else 0)
         if l0 < 3:
-            assert counter["transform"] == counter["relation_matrix"] == counter["resonant_points"] == 1
+            assert counter["transform"] == counter["resonant_points"] == 1
+            assert counter["relation_matrix"] == 0
         else:
             assert counter == {}
     # the typed checks still come first along a vacuous line, and a line id
     # that names no line is not taken for one
     for l0 in (-1, 6):
         with pytest.raises(IndexError):
-            bounds.beta_certificate(rep.arrangement, rep.chambers, system, l0)
+            bounds.beta_certificate(rep, system, l0)
     with pytest.raises(NotNormalized):
-        bounds.beta_certificate(arr, rep.chambers, system, 4)
-    two = geometry.normalize(pencil(2), 0)[0]
+        bounds.beta_certificate(replace(rep, arrangement=arr), system, 4)
+    two_system = LocalSystem(order=5, exponents=[1, 4])
     with pytest.raises(PencilNotCovered):
-        bounds.beta_certificate(two, geometry.chambers(two), LocalSystem(order=5, exponents=[1, 4]), 0)
+        bounds.beta_certificate(homology.h1(pencil(2), two_system), two_system, 0)
     with pytest.raises(NotALocalSystem):
-        bounds.beta_certificate(rep.arrangement, rep.chambers, LocalSystem(order=5, exponents=[1, 1, 3, 1, 2, 1]), 4)
+        bounds.beta_certificate(rep, LocalSystem(order=5, exponents=[1, 1, 3, 1, 2, 1]), 4)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -277,17 +281,66 @@ def test_trial_walks_each_distinct_frame_once(monkeypatch):
     assert 0 < normalized < 30
 
 
-def test_one_certificate_runs_at_most_three_ranks(monkeypatch, quadrilateral, quadrilateral_system):
-    # the relation rows, the rows with every member appended, the beta family
-    ranks = Counter()
-    _track(monkeypatch, ranks, "rank", cyclo, "rank")
-    narr = geometry.normalize(quadrilateral, 0)[0]
-    cells = geometry.chambers(narr)
-    for l0 in range(narr.n):
-        ranks.clear()
-        cert = bounds.beta_certificate(narr, cells, quadrilateral_system, l0)
+def _certificate_work(monkeypatch):
+    """Count the frame rows, chamber selections and ranks a certificate
+    runs, and record how many rows each elimination receives."""
+    work, sizes = Counter(), []
+    for name, owner, attr in (
+        ("relation_matrix", homology, "relation_matrix"),
+        ("adapted_chambers", geometry, "adapted_chambers"),
+        ("rank", cyclo, "rank"),
+    ):
+        _track(monkeypatch, work, name, owner, attr)
+    real = cyclo.rank_exponent_maps
+
+    def eliminating(rows, *args, **kwargs):
+        work["rank_exponent_maps"] += 1
+        sizes.append(len(rows))
+        return real(rows, *args, **kwargs)
+
+    _rebind(monkeypatch, real, eliminating)
+    return work, sizes
+
+
+def test_one_certificate_runs_at_most_two_ranks(monkeypatch, quadrilateral, quadrilateral_system):
+    # h1 = 1: the frame's relation rows are built once, and one elimination
+    # of them with every member appended is compared with the report's
+    # rank_K; the other rank is the beta family's
+    rep = homology.h1(quadrilateral, quadrilateral_system)
+    assert (rep.h1, rep.rank_K, rep.num_rows) == (1, 11, 14)
+    work, sizes = _certificate_work(monkeypatch)
+    for l0 in range(rep.arrangement.n):
+        work.clear()
+        sizes.clear()
+        cert = bounds.beta_certificate(rep, quadrilateral_system, l0)
         assert cert.ok and cert.betas
-        assert ranks["rank"] <= 3
+        members = len(cert.betas) + sum(1 for _q, diff in cert.extra_members if any(diff.values()))
+        assert work == {"relation_matrix": 1, "adapted_chambers": 1, "rank": 1, "rank_exponent_maps": 2}
+        assert sizes == [rep.num_rows + members, len(cert.betas)]
+
+
+def test_full_rank_certificates_build_no_relation_rows(monkeypatch):
+    # h1 = 0, so rank K = dim A: the members lie in the row space, and a
+    # certificate selects no chambers, builds no relation rows and ranks
+    # only its beta family
+    grid = triangular_grid(4)
+    system = LocalSystem(order=3, exponents=[1] * 11 + [2, 2])
+    rep = homology.h1(grid, system)
+    assert rep.h1 == 0 and rep.rank_K == rep.dim_A > 0
+    work, sizes = _certificate_work(monkeypatch)
+    full = 0
+    for l0 in range(grid.n):
+        work.clear()
+        sizes.clear()
+        cert = bounds.beta_certificate(rep, system, l0)
+        assert cert.ok and cert.all_in_kernel
+        if cert.betas:
+            full += 1
+            assert work == {"rank": 1, "rank_exponent_maps": 1}
+            assert sizes == [len(cert.betas)]
+        else:
+            assert work == {}
+    assert full > 0
 
 
 def test_oracle_maps_one_chart_and_intersects_nothing(calls, monkeypatch, generic_triangle):
@@ -392,36 +445,52 @@ def test_grid_report_does_no_power_basis_reduction_on_the_hot_path(monkeypatch, 
     assert main(["h1", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["h1"] == 1
     assert entered["presentation"] == 1 and entered["relation_matrix"] == 1
-    # K through rank_exact's checks, the Fox oracle's d2 straight to the core
-    assert entered["rank_exact"] == 1 and entered["rank_exponent_maps"] == 2
+    # K and the Fox oracle's d2 go straight to the core
+    assert entered["rank_exact"] == 0 and entered["rank_exponent_maps"] == 2
     assert set(reductions) <= {"elsewhere"}
     assert CycloNumber.from_terms(3, {0: 1, 1: 1, 2: 1}) == 0  # the counter sees a cold-path reduction
     assert reductions["elsewhere"] >= 1
 
 
-def test_relation_rows_reach_rank_exact_as_built(monkeypatch, tmp_path, capsys):
-    # K goes to rank_exact in the rows the builders made: one entry per
-    # relation coefficient, and no zero filled in for the angles a row misses
-    reports, entries = [], []
-    real_h1, real_rank = homology.h1, cyclo.rank_exact
+def test_relation_rows_reach_the_certified_core_as_built(monkeypatch, tmp_path, capsys):
+    # an exact h1 hands K to rank_exponent_maps as the very row objects the
+    # builders made: flat terms zeta^s with coefficient 1, one per relation
+    # entry, and no zero filled in for the angles a row misses; and the
+    # report makes no CycloNumber on its way
+    reports, handed = [], []
+    real_h1, real_rank = homology.h1, cyclo.rank_exponent_maps
 
     def recording_h1(*args, **kwargs):
         reports.append(real_h1(*args, **kwargs))
         return reports[-1]
 
     def recording_rank(rows, *args, **kwargs):
-        entries.append(sum(len(r) for r in rows))
+        handed.append(rows)
         return real_rank(rows, *args, **kwargs)
+
+    made, real_make = [], cyclo._make
+
+    def making(*args):
+        made.append(args)
+        return real_make(*args)
 
     _rebind(monkeypatch, real_h1, recording_h1)
     _rebind(monkeypatch, real_rank, recording_rank)
+    monkeypatch.setattr(cyclo, "_make", making)
+    grid = Arrangement([Line.from_coeffs(*l) for l in GRID_LINES])
+    rep = homology.h1(grid, LocalSystem(order=3, exponents=[1] * 9))
+    assert made == []
+    (K,) = handed
+    assert len(K) == len(rep.rows) and all(row is r.coeffs for row, r in zip(K, rep.rows))
+    assert all(type(key) is int and c == 1 for row in K for key, c in row.items())
+    assert sum(len(row) for row in K) < rep.num_rows * rep.dim_A
+    # through the CLI: K, then the Fox oracle's d2
+    handed.clear()
     path = tmp_path / "grid.json"
     path.write_text(json.dumps({"lines": GRID_LINES, "local_system": {"order": 3, "exponents": [1] * 9}}))
     assert main(["h1", str(path)]) == 0
     capsys.readouterr()
-    (rep,) = reports
-    assert len(entries) == 1  # K; the Fox oracle's d2 goes to the certified core directly
-    assert entries[0] == sum(len(r.coeffs) for r in rep.rows) < rep.num_rows * rep.dim_A
+    assert len(handed) == 2 and all(row is r.coeffs for row, r in zip(handed[0], reports[-1].rows))
 
 
 def _load_tracer():
